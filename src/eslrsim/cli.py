@@ -22,7 +22,7 @@ from . import physics as phys
 from . import sim
 from . import tensor as T
 from . import trainer
-from .config import (RunConfig, SceneSpec, config_from_dict, config_to_dict,
+from .config import (RunConfig, SceneSpec, _build, config_from_dict, config_to_dict,
                      load_config, save_config)
 from .errors import ValidationError
 from .mesh import build_topology, compute_rest_quantities, grid_cloth, load_obj
@@ -166,13 +166,8 @@ def cmd_eval(args) -> int:
             raise ValidationError(f"{args.scenes}: invalid JSON: {e}") from None
     if not isinstance(raw, list):
         raise ValidationError(f"{args.scenes}: expected a JSON list of scenes")
-    allowed = {"garment", "body", "amplitude", "frequency", "embedding"}
-    specs = []
-    for i, entry in enumerate(raw):
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ValidationError(f"{args.scenes}[{i}]: unknown key(s) {sorted(unknown)}")
-        specs.append(SceneSpec(**entry))
+    specs = [_build(SceneSpec, entry, f"{args.scenes}[{i}]")
+             for i, entry in enumerate(raw)]
     frames = args.frames if args.frames is not None else cfg.sim.eval_frames
     rows = evaluate_scenes(params, cfg, specs, frames)
     report = format_report(rows, cfg)
@@ -325,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("eval", help="per-scene physics-loss report")

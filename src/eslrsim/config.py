@@ -100,6 +100,8 @@ def _build(cls, data, path):
     for key, value in data.items():
         sub = f"{path}.{key}" if path else key
         if key == "scenes":
+            if not isinstance(value, list):
+                raise ValidationError(f"'{sub}' must be a list of scenes")
             kwargs[key] = [_build(SceneSpec, s, f"{sub}[{i}]")
                            for i, s in enumerate(value)]
         elif key == "weights":

@@ -41,7 +41,6 @@ class PhysicsConfig:
     gravity: float = 9.81  # m/s^2, downward along up_axis
     friction_mu: float = 0.3
     dt: float = 1.0 / 30.0  # seconds
-    density: float = 0.2  # kg/m^2
     up_axis: int = 1
     huber_delta: float = 1e-6  # meters, friction smoothing threshold
     weights: dict[str, float] = field(default_factory=default_loss_weights)

@@ -56,49 +56,12 @@ class StepOutput:
 
 
 @dataclass
-class PlacementTransform:
-    rotation: np.ndarray  # (3, 3)
-    translation: np.ndarray  # (3,)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.rotation.T + self.translation
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.translation) @ self.rotation
-
-
-@dataclass
 class BodyMotion:
     preset: str
     amplitude: float
     frequency: float
-    seed: int
     template: Mesh  # rest-pose body mesh
     pivot: np.ndarray  # swing pivot (unused by other presets)
-    # analytic shape parameters for exact signed distances
-    shape: str = "sphere"  # sphere | capsule
-    center: np.ndarray | None = None  # rest-pose center
-    radius: float = 0.0
-    half_length: float = 0.0  # capsule axis half-length (x axis at rest)
-
-    def signed_distance(self, points: np.ndarray, time: float) -> np.ndarray:
-        """Exact distance to the body surface at `time`; negative inside."""
-        local = points - self.center
-        if self.preset == "translating_capsule":
-            local = local - np.array([self.amplitude * time, 0.0, 0.0])
-        elif self.preset == "swinging_capsule":
-            omega = 2 * np.pi * self.frequency
-            theta = self.amplitude * np.sin(omega * time)
-            c, s = np.cos(theta), np.sin(theta)
-            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            # undo the world rotation about the pivot
-            local = (points - self.pivot) @ rot + self.pivot - self.center
-        if self.shape == "sphere":
-            return np.linalg.norm(local, axis=1) - self.radius
-        clamped = local.copy()
-        clamped[:, 0] = np.clip(clamped[:, 0], -self.half_length, self.half_length)
-        return np.linalg.norm(local - clamped * [1, 0, 0] * 0 + (local - clamped),
-                              axis=1) - self.radius
 
 
 @dataclass
@@ -166,7 +129,7 @@ def capsule(radius: float, half_length: float, n_lat: int, n_lon: int,
 
 
 def make_body_motion(preset: str, cfg: RunConfig, amplitude: float | None = None,
-                     frequency: float | None = None, seed: int = 0) -> BodyMotion:
+                     frequency: float | None = None) -> BodyMotion:
     """Build the preset's template mesh with its apex `body_gap` below the
     garment placement height."""
     sim = cfg.sim
@@ -189,7 +152,7 @@ def make_body_motion(preset: str, cfg: RunConfig, amplitude: float | None = None
     else:
         raise ValidationError(f"unknown body preset {preset!r}; choose from {PRESETS}")
     pivot = np.array([0.0, cfg.sim.placement_height + 0.5, 0.0])
-    return BodyMotion(preset=preset, amplitude=amp, frequency=freq, seed=seed,
+    return BodyMotion(preset=preset, amplitude=amp, frequency=freq,
                       template=template, pivot=pivot)
 
 
@@ -297,12 +260,9 @@ def build_model_params(model: ModelConfig, embed_dim: int, seed: int) -> ModelPa
 
 def initial_state(garment: GarmentAssets, motion: BodyMotion, cfg: RunConfig,
                   t0: int = 0) -> SimState:
-    """Rest garment rigidly placed by the preset's transform, at rest; body at
-    frame t0. Warns if the placement already penetrates beyond twice the margin."""
-    placement = PlacementTransform(
-        rotation=np.eye(3),
-        translation=np.array([0.0, cfg.sim.placement_height, 0.0]))
-    x_g = placement.apply(garment.mesh.vertices)
+    """Rest garment lifted to the placement height, at rest; body at frame t0.
+    Warns if the placement already penetrates beyond twice the margin."""
+    x_g = garment.mesh.vertices + np.array([0.0, cfg.sim.placement_height, 0.0])
     dt = cfg.physics.dt
     x_b, q_b = body_motion_eval(motion, t0 * dt)
     state = SimState(t=t0, x_g=x_g, q_g=np.zeros_like(x_g), x_b=x_b, q_b=q_b, dt=dt)

@@ -1,9 +1,18 @@
 """Dense f64 tensors with reverse-mode automatic differentiation.
 
-Every op records a backward closure on the output node; `backward()` walks the
-implicit tape in reverse topological order. All math is float64 and every
-reduction runs in a fixed (ascending-index) order, so replaying the same
-computation is bit-identical.
+Every op makes its output through `_node(data, parents, op_name, vjp)`. When
+any parent requires a gradient, the output records its parents and `vjp`, its
+vector-Jacobian product: `vjp(g)` maps the gradient `g` of the output to one
+gradient per parent, in parent order, or `None` for a parent that needs none.
+A gradient may have the output's broadcast shape; `backward()` sums it back to
+the parent's shape. `vjp` must not refer to the output tensor, so a tape holds
+no reference cycles and is freed by reference counting as soon as its loss is
+dropped.
+
+`backward()` walks the implicit tape in reverse topological order and is the
+only place gradients are accumulated. All math is float64 and every reduction
+runs in a fixed (ascending-index) order, so replaying the same computation is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -43,13 +52,13 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_vjp", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._backward: Callable[[], None] | None = None
+        self._vjp: Callable | None = None
         self._prev: tuple[Tensor, ...] = ()
 
     @property
@@ -58,9 +67,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -124,13 +130,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], op_name: str) -> Tensor:
+def _node(data: np.ndarray, parents: Sequence[Tensor], op_name: str,
+          vjp: Callable) -> Tensor:
     if _CHECK_FINITE and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by op '{op_name}'")
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = tuple(parents)
+        out._vjp = vjp
     return out
 
 
@@ -139,82 +147,44 @@ def _shape_err(op: str, *shapes) -> ValueError:
 
 
 # -- elementwise binary ops ------------------------------------------------
+# A single-parent op is on the tape only if its parent requires a gradient,
+# so only multi-parent ops guard their entries with `requires_grad`.
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _node(a.data + b.data, (a, b), "add")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data + b.data, (a, b), "add", lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _node(a.data - b.data, (a, b), "sub")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-out.grad, b.data.shape))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data - b.data, (a, b), "sub",
+                 lambda g: (g, -g if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _node(a.data * b.data, (a, b), "mul")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data * b.data, (a, b), "mul",
+                 lambda g: (g * b.data if a.requires_grad else None,
+                            g * a.data if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _node(a.data / b.data, (a, b), "div")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data / b.data, (a, b), "div",
+                 lambda g: (g / b.data if a.requires_grad else None,
+                            -g * a.data / (b.data * b.data) if b.requires_grad else None))
 
 
 def atan2(y, x) -> Tensor:
     """Elementwise arctan2(y, x); gradients are smooth away from the origin."""
     y, x = as_tensor(y), as_tensor(x)
-    out = _node(np.arctan2(y.data, x.data), (y, x), "atan2")
 
-    def bw():
+    def vjp(g):
         denom = x.data * x.data + y.data * y.data
-        if y.requires_grad:
-            _accumulate(y, _unbroadcast(out.grad * x.data / denom, y.data.shape))
-        if x.requires_grad:
-            _accumulate(x, _unbroadcast(-out.grad * y.data / denom, x.data.shape))
+        return (g * x.data / denom if y.requires_grad else None,
+                -g * y.data / denom if x.requires_grad else None)
 
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(np.arctan2(y.data, x.data), (y, x), "atan2", vjp)
 
 
 def cross3(a, b) -> Tensor:
@@ -222,102 +192,39 @@ def cross3(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[-1] != 3 or b.data.shape[-1] != 3:
         raise _shape_err("cross3", a.data.shape, b.data.shape)
-    out = _node(np.cross(a.data, b.data), (a, b), "cross3")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.cross(b.data, out.grad), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.cross(out.grad, a.data), b.data.shape))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(np.cross(a.data, b.data), (a, b), "cross3",
+                 lambda g: (np.cross(b.data, g) if a.requires_grad else None,
+                            np.cross(g, a.data) if b.requires_grad else None))
 
 
 # -- elementwise unary ops -------------------------------------------------
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = _node(-a.data, (a,), "neg")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, -out.grad)
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(-a.data, (a,), "neg", lambda g: (-g,))
 
 
 def pow_scalar(a, p: float) -> Tensor:
     a = as_tensor(a)
-    out = _node(a.data ** p, (a,), "pow")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, out.grad * p * a.data ** (p - 1))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data ** p, (a,), "pow", lambda g: (g * p * a.data ** (p - 1),))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     root = np.sqrt(a.data)
-    out = _node(root, (a,), "sqrt")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, out.grad * 0.5 / root)
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(root, (a,), "sqrt", lambda g: (g * 0.5 / root,))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     e = np.exp(a.data)
-    out = _node(e, (a,), "exp")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, out.grad * e)
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(e, (a,), "exp", lambda g: (g * e,))
 
 
 def relu(a) -> Tensor:
     # Subgradient at 0 is defined as 0.
     a = as_tensor(a)
-    out = _node(np.maximum(a.data, 0.0), (a,), "relu")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, out.grad * (a.data > 0.0))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
-
-
-def elu(a) -> Tensor:
-    a = as_tensor(a)
-    pos = a.data > 0.0
-    val = np.where(pos, a.data, np.expm1(a.data))
-    out = _node(val, (a,), "elu")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, out.grad * np.where(pos, 1.0, val + 1.0))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(np.maximum(a.data, 0.0), (a,), "relu", lambda g: (g * (a.data > 0.0),))
 
 
 def huber_norm(a, delta: float) -> Tensor:
@@ -330,96 +237,64 @@ def huber_norm(a, delta: float) -> Tensor:
     r = np.sqrt((a.data * a.data).sum(axis=-1))
     small = r <= delta
     val = np.where(small, r * r / (2.0 * delta), r - delta / 2.0)
-    out = _node(val, (a,), "huber_norm")
 
-    def bw():
-        if a.requires_grad:
-            safe_r = np.where(small, 1.0, r)
-            scale = np.where(small, 1.0 / delta, 1.0 / safe_r)
-            _accumulate(a, out.grad[..., None] * scale[..., None] * a.data)
+    def vjp(g):
+        safe_r = np.where(small, 1.0, r)
+        scale = np.where(small, 1.0 / delta, 1.0 / safe_r)
+        return (g[..., None] * scale[..., None] * a.data,)
 
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(val, (a,), "huber_norm", vjp)
 
 
 # -- structural ops --------------------------------------------------------
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
-    out = _node(a.data.T.copy(), (a,), "transpose")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, out.grad.T)
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data.T.copy(), (a,), "transpose", lambda g: (g.T,))
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise _shape_err("matmul", a.data.shape, b.data.shape)
-    out = _node(a.data @ b.data, (a, b), "matmul")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, out.grad @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ out.grad)
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data @ b.data, (a, b), "matmul",
+                 lambda g: (g @ b.data.T if a.requires_grad else None,
+                            a.data.T @ g if b.requires_grad else None))
 
 
 def concat(parts: Iterable, axis: int = -1) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    out = _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), "concat")
     widths = [p.data.shape[axis] for p in parts]
 
-    def bw():
+    def vjp(g):
         offsets = np.cumsum([0] + widths)
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = [slice(None)] * out.grad.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(p, out.grad[tuple(idx)])
+        idx = [slice(None)] * g.ndim
+        grads = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            idx[axis] = slice(lo, hi)
+            grads.append(g[tuple(idx)])
+        return grads
 
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+                 "concat", vjp)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
-    out = _node(a.data[..., start:stop], (a,), "slice_cols")
 
-    def bw():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[..., start:stop] = out.grad
-            _accumulate(a, g)
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[..., start:stop] = g
+        return (full,)
 
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data[..., start:stop], (a,), "slice_cols", vjp)
 
 
 def gather_rows(a, index) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.intp)
-    out = _node(a.data[index], (a,), "gather_rows")
-
-    def bw():
-        if a.requires_grad:
-            _accumulate(a, _scatter_add_rows(out.grad, index, a.data.shape[0]))
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(a.data[index], (a,), "gather_rows",
+                 lambda g: (_scatter_add_rows(g, index, a.data.shape[0]),))
 
 
 def _scatter_add_rows(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
@@ -444,15 +319,8 @@ def segment_sum(values, segment_ids, n_segments: int) -> Tensor:
         raise _shape_err("segment_sum", values.data.shape, ids.shape)
     if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
         raise ValueError("segment_sum: segment id out of range")
-    out = _node(_scatter_add_rows(values.data, ids, n_segments), (values,), "segment_sum")
-
-    def bw():
-        if values.requires_grad:
-            _accumulate(values, out.grad[ids])
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(_scatter_add_rows(values.data, ids, n_segments), (values,),
+                 "segment_sum", lambda g: (g[ids],))
 
 
 def segment_mean(values, segment_ids, n_segments: int) -> Tensor:
@@ -463,37 +331,19 @@ def segment_mean(values, segment_ids, n_segments: int) -> Tensor:
     safe = np.maximum(counts, 1.0)
     summed = _scatter_add_rows(values.data, ids, n_segments)
     denom = safe if summed.ndim == 1 else safe[:, None]
-    out = _node(summed / denom, (values,), "segment_mean")
-
-    def bw():
-        if values.requires_grad:
-            g = out.grad / denom
-            _accumulate(values, g[ids])
-
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(summed / denom, (values,), "segment_mean",
+                 lambda g: ((g / denom)[ids],))
 
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum")
 
-    def bw():
-        if a.requires_grad:
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    if out.requires_grad:
-        out._backward = bw
-    return out
-
-
-def tmean(a) -> Tensor:
-    a = as_tensor(a)
-    return mul(tsum(a), 1.0 / a.data.size)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum", vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -505,23 +355,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = np.einsum("...i,...i->...", xc, xc)[..., None] / h
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
 
-    def bw():
-        g = out.grad
-        if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if gain.requires_grad:
-            _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+    def vjp(g):
+        dx = None
         if x.requires_grad:
             dxhat = g * gain.data
             dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
                   - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
-            _accumulate(x, dx)
+        return dx, (g * xhat if gain.requires_grad else None), g
 
-    if out.requires_grad:
-        out._backward = bw
-    return out
+    return _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", vjp)
 
 
 def row_norm(a) -> Tensor:
@@ -557,8 +400,11 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is not None and node._prev:
-            node._backward()
+        if not node._prev:
+            continue
+        for p, g in zip(node._prev, node._vjp(node.grad)):
+            if g is not None and p.requires_grad:
+                _accumulate(p, _unbroadcast(g, p.data.shape))
 
 
 # -- parameter store -------------------------------------------------------
@@ -587,9 +433,6 @@ class ModelParams:
 
     def items(self):
         return self._params.items()
-
-    def n_entries(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
     def zero_grad(self) -> None:
         for t in self._params.values():

@@ -104,6 +104,19 @@ class TestTrainCli:
         assert rc == 2
         assert "grid.obj" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, named", [
+        ({"physics": {"density": 1.0}}, "density"),
+        ({"trainer": {"scenes": 5}}, "trainer.scenes"),
+    ])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, bad, named):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(bad))
+        rc = cli.main(["train", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
     def test_identical_invocations_identical_checkpoints(self, tmp_path, garment_obj):
         cfg_path = small_config_file(tmp_path, garment_obj)
         assert cli.main(["preprocess", "--garment", str(garment_obj),
@@ -208,6 +221,15 @@ class TestEvalCli:
         rc = cli.main(["eval", "--ckpt", str(trained), "--scenes", str(scenes),
                        "--report", str(tmp_path / "r.txt")])
         assert rc == 2
+
+    def test_non_object_scene_exits_2(self, tmp_path, trained, capsys):
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text("[5]")
+        rc = cli.main(["eval", "--ckpt", str(trained), "--scenes", str(scenes),
+                       "--report", str(tmp_path / "r.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "scenes.json[0]" in err and "Traceback" not in err
 
 
 class TestBenchCli:

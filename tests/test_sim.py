@@ -97,14 +97,6 @@ class TestInitialState:
         assert np.isclose(cfg.sim.placement_height - apex, cfg.sim.body_gap)
         assert np.array_equal(state.q_g, np.zeros_like(state.x_g))
 
-    def test_placement_round_trip(self):
-        tr = S.PlacementTransform(rotation=np.eye(3),
-                                  translation=np.array([0.0, 0.3, -0.1]))
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((20, 3))
-        back = tr.inverse(tr.apply(x))
-        assert np.abs(back - x).max() <= 1e-12
-
     def test_interpenetration_warning(self):
         scene, cfg = small_scene()
         cfg.sim.body_gap = -0.1  # apex well above the cloth plane
