@@ -179,16 +179,9 @@ def cmd_eval(args) -> int:
 
 # -- bench -------------------------------------------------------------------------
 
-def _limit_threads():
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=1)
-    except ImportError:  # timing is less stable but still usable
-        import contextlib
-        return contextlib.nullcontext()
-
-
-def _median_time(fn, repeats: int = 3) -> float:
+def _median_time(fn, repeats: int = 5) -> float:
+    """Median wall time of `repeats` calls after one untimed warm-up call."""
+    fn()
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -205,47 +198,44 @@ def run_bench(sizes: list[int], layer_counts: list[int], cfg: RunConfig,
         params = sim.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed)
     rng = np.random.default_rng(seed)
     results = []
-    max_layers = max([cfg.model.lsdmp_layers] + layer_counts)
-    with _limit_threads():
-        for size in sizes:
-            side = max(2, int(round(np.sqrt(size))))
-            mesh = grid_cloth(side, side)
-            n = mesh.n_vertices
-            embedding = rng.standard_normal((n, cfg.geodesic.embed_dim))
-            garment = sim.garment_assets_from_mesh(mesh, cfg, embedding)
-            scene = sim.build_scene(garment,
-                                    sim.make_body_motion("static_sphere", cfg), cfg)
-            state = sim.initial_state(garment, scene.body, cfg)
-            world = np.zeros((0, 2), dtype=np.intp)
-            lg = None
+    for size in sizes:
+        side = max(2, int(round(np.sqrt(size))))
+        mesh = grid_cloth(side, side)
+        n = mesh.n_vertices
+        embedding = rng.standard_normal((n, cfg.geodesic.embed_dim))
+        garment = sim.garment_assets_from_mesh(mesh, cfg, embedding)
+        scene = sim.build_scene(garment,
+                                sim.make_body_motion("static_sphere", cfg), cfg)
+        state = sim.initial_state(garment, scene.body, cfg)
+        world = np.zeros((0, 2), dtype=np.intp)
 
-            def encode_once():
-                positions = state.x_g
-                velocities = state.q_g
-                normals = np.zeros_like(positions)
-                return lsdmp.encode(params, positions, velocities,
-                                    mesh.vertices, normals, n,
-                                    garment.topo.mesh_edges,
-                                    len(garment.topo.mesh_edges), world)
+        def encode_once():
+            positions = state.x_g
+            velocities = state.q_g
+            normals = np.zeros_like(positions)
+            return lsdmp.encode(params, positions, velocities,
+                                mesh.vertices, normals, n,
+                                garment.topo.mesh_edges,
+                                len(garment.topo.mesh_edges), world)
 
-            with T.no_grad():
-                lg = encode_once()
-                t_lsdmp = _median_time(lambda: lsdmp.lsdmp_forward(
-                    lg, params, cfg.model.lsdmp_layers, cfg.model.smoothing_steps))
-                t_gsa = _median_time(lambda: gsa_mod.gsa_forward(
-                    lg.vertex_feats, n, embedding, params, cfg.model.gsa_blocks))
-                step_times = {}
-                for n_layers in layer_counts:
-                    if n_layers > cfg.model.lsdmp_layers:
-                        raise ValidationError(
-                            f"--layers {n_layers} exceeds model depth "
-                            f"{cfg.model.lsdmp_layers}")
-                    scene.cfg = _with_layers(cfg, n_layers)
-                    step_times[n_layers] = _median_time(
-                        lambda: sim.step(state, params, scene))
-                scene.cfg = cfg
-            results.append({"vertices": n, "lsdmp_s": t_lsdmp, "gsa_s": t_gsa,
-                            "step_s": step_times})
+        with T.no_grad():
+            lg = encode_once()
+            t_lsdmp = _median_time(lambda: lsdmp.lsdmp_forward(
+                lg, params, cfg.model.lsdmp_layers, cfg.model.smoothing_steps))
+            t_gsa = _median_time(lambda: gsa_mod.gsa_forward(
+                lg.vertex_feats, n, embedding, params, cfg.model.gsa_blocks))
+            step_times = {}
+            for n_layers in layer_counts:
+                if n_layers > cfg.model.lsdmp_layers:
+                    raise ValidationError(
+                        f"--layers {n_layers} exceeds model depth "
+                        f"{cfg.model.lsdmp_layers}")
+                scene.cfg = _with_layers(cfg, n_layers)
+                step_times[n_layers] = _median_time(
+                    lambda: sim.step(state, params, scene))
+            scene.cfg = cfg
+        results.append({"vertices": n, "lsdmp_s": t_lsdmp, "gsa_s": t_gsa,
+                        "step_s": step_times})
     return results
 
 
@@ -255,16 +245,26 @@ def _with_layers(cfg: RunConfig, n_layers: int) -> RunConfig:
     return clone
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_bench(args) -> int:
     if args.ckpt:
         params, cfg = _load_model(args.ckpt)
     else:
         cfg = load_config(args.config) if args.config else RunConfig()
         params = None
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    layer_counts = [int(s) for s in args.layers.split(",") if s]
+    sizes = _int_list(args.sizes, "--sizes")
+    layer_counts = _int_list(args.layers, "--layers")
     if not sizes:
         raise ValidationError("--sizes needs at least one vertex count")
+    if min(sizes) < 4:
+        raise ValidationError(
+            f"--sizes entries must be >= 4 (the smallest grid is 2x2), got {min(sizes)}")
     for n_layers in layer_counts:
         if n_layers > cfg.model.lsdmp_layers:
             raise ValidationError(

@@ -1,13 +1,15 @@
 """Run configuration: one nested schema mirroring every module's knobs.
 
-Loaded from JSON; unknown keys are rejected at every level, every key has a
-default, and the effective config is echoed into each output directory.
+Loaded from JSON; unknown keys are rejected at every level, every scalar must
+have its field's type, every key has a default, and the effective config is
+echoed into each output directory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -86,13 +88,26 @@ class RunConfig:
 
 
 _WEIGHT_KEYS = frozenset(default_loss_weights())
+_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _check_scalar(value, hint, path):
+    """An int field takes no bool or float, a float field also takes an int,
+    bool and str fields are exact, and an optional field also takes null."""
+    options = typing.get_args(hint) or (hint,)  # `X | None` -> (X, NoneType)
+    if value is None and type(None) in options:
+        return
+    base = options[0]
+    if isinstance(value, bool) != (base is bool) or not isinstance(value, _ACCEPTS[base]):
+        raise ValidationError(
+            f"config key '{path}' must be {base.__name__}, got {value!r}")
 
 
 def _build(cls, data, path):
     if not isinstance(data, dict):
         raise ValidationError(f"config section '{path}' must be an object")
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(names)
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ValidationError(
             f"unknown config key(s) {sorted(unknown)} under '{path or 'top level'}'")
@@ -109,11 +124,14 @@ def _build(cls, data, path):
                 raise ValidationError(
                     f"'{sub}' must map a subset of {sorted(_WEIGHT_KEYS)}")
             merged = default_loss_weights()
-            merged.update({k: float(v) for k, v in value.items()})
+            for k, v in value.items():
+                _check_scalar(v, float, f"{sub}.{k}")
+                merged[k] = float(v)
             kwargs[key] = merged
         elif key in _SECTION_TYPES:
             kwargs[key] = _build(_SECTION_TYPES[key], value, sub)
         else:
+            _check_scalar(value, hints[key], sub)
             kwargs[key] = value
     return cls(**kwargs)
 

@@ -6,12 +6,27 @@ the network actually sees). The embedding minimizes raw stress,
     sum_{i != j} (d_ij - ||c_i - c_j||)^2,
 
 by SMACOF majorization, whose stress sequence is non-increasing by construction.
+
+Cost model, for n vertices and embedding width k:
+
+- Dijkstra runs once per source with a binary heap, and stops a source as soon
+  as every vertex with a larger index is settled; the lower triangle is the
+  mirror of the upper one. About n * (n/2) heap pops in all.
+- SMACOF makes one pairwise-distance pass per iteration, plus one for the
+  start; the candidate's distances are reused for the next iteration's update.
+- Pairwise distances are built a block of rows at a time, so peak memory is a
+  few n x n float64 arrays and never an n x n x k temporary.
+
+On a 2,025-vertex grid with 4 SMACOF iterations and one BLAS thread (2-core
+x86-64 VM), Dijkstra takes about 60 % of the time, the classical-scaling start
+about 25 % and each SMACOF iteration about 4 %; the process peaks near 270 MB.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,37 +89,61 @@ def _check_connected(adj: list[list[tuple[int, float]]]) -> None:
 def geodesic_distances(topo: Topology, rest: RestState) -> DistanceMatrix:
     """All-pairs shortest paths by per-source Dijkstra with a binary heap.
 
-    The upper triangle is mirrored into the lower one so the matrix is exactly
-    symmetric (the two sweep directions can differ in the last ulp otherwise).
+    Source s only fills row s above the diagonal, so it stops once every
+    vertex v > s is settled; the upper triangle is then mirrored into the
+    lower one, which also makes the matrix exactly symmetric (the two sweep
+    directions can differ in the last ulp otherwise).
     """
     adj = _weighted_adjacency(topo, rest)
     _check_connected(adj)
     n = len(adj)
-    d = np.empty((n, n), dtype=np.float64)
-    for src in range(n):
-        dist = np.full(n, np.inf)
+    push, pop = heapq.heappush, heapq.heappop
+    d = np.zeros((n, n), dtype=np.float64)
+    for src in range(n - 1):
+        dist = [math.inf] * n
         dist[src] = 0.0
+        done = [False] * n
         heap: list[tuple[float, int]] = [(0.0, src)]
-        done = np.zeros(n, dtype=bool)
-        while heap:
-            du, u = heapq.heappop(heap)
+        left = n - 1 - src  # vertices above src not yet settled
+        while True:
+            du, u = pop(heap)
             if done[u]:
                 continue
             done[u] = True
+            if u > src:
+                left -= 1
+                if not left:
+                    break
             for v, w in adj[u]:
                 alt = du + w
                 if alt < dist[v]:
                     dist[v] = alt
-                    heapq.heappush(heap, (alt, v))
-        d[src] = dist
+                    push(heap, (alt, v))
+        d[src, src + 1:] = dist[src + 1:]
     iu = np.triu_indices(n, k=1)
     d[(iu[1], iu[0])] = d[iu]
     return DistanceMatrix(n=n, d=d)
 
 
+_BLOCK_ROWS = 64
+
+
 def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    """Euclidean distances between the rows of `coords`, one block of rows at
+    a time so each temporary is (block, n, k) rather than (n, n, k). Each
+    block evaluates the one-shot expression on a row slice, which keeps the
+    memory layout and hence numpy's summation order over k."""
+    n = coords.shape[0]
+    pd = np.empty((n, n), dtype=np.float64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        diff = coords[lo:hi, None, :] - coords[None, :, :]
+        np.sqrt((diff * diff).sum(axis=-1), out=pd[lo:hi])
+    return pd
+
+
+def _raw_stress(d: np.ndarray, pd: np.ndarray) -> float:
+    return float(((d - pd) ** 2).sum())  # diagonal contributes zero
 
 
 def stress(coords: np.ndarray, dist: DistanceMatrix) -> float:
@@ -113,8 +152,7 @@ def stress(coords: np.ndarray, dist: DistanceMatrix) -> float:
     if coords.shape[0] != dist.n:
         raise ValidationError(
             f"stress: coords rows {coords.shape[0]} != distance matrix size {dist.n}")
-    pd = _pairwise_distances(coords)
-    return float(((dist.d - pd) ** 2).sum())  # diagonal contributes zero
+    return _raw_stress(dist.d, _pairwise_distances(coords))
 
 
 def _classical_scaling(d: np.ndarray, k: int) -> np.ndarray:
@@ -155,17 +193,19 @@ def mds_embed(dist: DistanceMatrix, k: int, max_iters: int = 500,
     if not np.all(np.isfinite(coords)) or (n > 1 and np.ptp(coords) < 1e-300):
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0.0, max(float(d.max()), 1.0), size=(n, k))
-    s_prev = stress(coords, dist)
+    pd = _pairwise_distances(coords)
+    s_prev = _raw_stress(d, pd)
     history = [s_prev]
     for _ in range(max_iters):
-        pd = _pairwise_distances(coords)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(pd > 0.0, d / pd, 0.0)
-        b = -ratio
+        # Guttman transform: B = -d/pd off the diagonal (0 where pd == 0),
+        # row sums negated on the diagonal
+        b = np.divide(d, pd, out=np.zeros_like(pd), where=pd > 0.0)
+        np.negative(b, out=b)
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
         candidate = (b @ coords) / n
-        s_new = stress(candidate, dist)
+        pd = _pairwise_distances(candidate)  # reused by the next iteration
+        s_new = _raw_stress(d, pd)
         if not (s_new < s_prev):  # no progress (or numerical stall): keep the best
             break
         coords = candidate

@@ -74,6 +74,20 @@ class TestPreprocess:
         assert rc == 2
         assert "component" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, named", [
+        ({"geodesic": {"embed_dim": "8"}}, "geodesic.embed_dim"),
+        ({"geodesic": {"mds_max_iters": 2.5}}, "geodesic.mds_max_iters"),
+    ])
+    def test_mistyped_config_scalar_exits_2(self, tmp_path, garment_obj, capsys,
+                                            bad, named):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(bad))
+        rc = cli.main(["preprocess", "--garment", str(garment_obj),
+                       "--config", str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
     def test_rerun_same_seed_identical_bytes(self, tmp_path, garment_obj):
         a, b = tmp_path / "a.geo1", tmp_path / "b.geo1"
         for out in (a, b):
@@ -107,6 +121,11 @@ class TestTrainCli:
     @pytest.mark.parametrize("bad, named", [
         ({"physics": {"density": 1.0}}, "density"),
         ({"trainer": {"scenes": 5}}, "trainer.scenes"),
+        ({"trainer": {"scenes": [{"garment": 5}]}}, "trainer.scenes[0].garment"),
+        ({"model": {"hidden_dim": True}}, "model.hidden_dim"),
+        ({"model": {"standardize_embedding": 1}}, "model.standardize_embedding"),
+        ({"sim": {"sphere_radius": "0.3"}}, "sim.sphere_radius"),
+        ({"physics": {"weights": {"stretch": "1"}}}, "physics.weights.stretch"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, bad, named):
         cfg_path = tmp_path / "bad.json"
@@ -116,6 +135,13 @@ class TestTrainCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_config_accepts_int_for_float_and_null_for_optional(self):
+        cfg = config_from_dict({
+            "physics": {"dt": 1, "weights": {"stretch": 2}},
+            "trainer": {"scenes": [{"garment": "g.obj", "amplitude": None}]}})
+        assert cfg.physics.dt == 1 and cfg.physics.weights["stretch"] == 2.0
+        assert cfg.trainer.scenes[0].amplitude is None
 
     def test_identical_invocations_identical_checkpoints(self, tmp_path, garment_obj):
         cfg_path = small_config_file(tmp_path, garment_obj)
@@ -256,6 +282,13 @@ class TestBenchCli:
         rc = cli.main(["bench", "--sizes", "16", "--layers", "5",
                        "--config", str(cfg_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("sizes", ["0", "3", "16,abc"])
+    def test_bad_sizes_exit_2(self, capsys, sizes):
+        rc = cli.main(["bench", "--sizes", sizes, "--layers", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--sizes" in err and "Traceback" not in err
 
 
 class TestExitCodes:

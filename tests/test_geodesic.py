@@ -1,3 +1,10 @@
+import hashlib
+import heapq
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +36,39 @@ def floyd_warshall(n, edges, weights):
     for k in range(n):
         d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
     return d
+
+
+def reference_dijkstra(topo, rest):
+    """Plain all-pairs heap Dijkstra, every source run to exhaustion, with
+    the neighbour order of the module's own adjacency lists."""
+    n = len(topo.adjacency)
+    adj = [[] for _ in range(n)]
+    for (i, j), w in zip(topo.mesh_edges, rest.edge_rest_lengths):
+        adj[int(i)].append((int(j), float(w)))
+        adj[int(j)].append((int(i), float(w)))
+    d = np.full((n, n), np.inf)
+    for s in range(n):
+        d[s, s] = 0.0
+        heap = [(0.0, s)]
+        settled = set()
+        while heap:
+            du, u = heapq.heappop(heap)
+            if u in settled:
+                continue
+            settled.add(u)
+            for v, w in adj[u]:
+                if du + w < d[s, v]:
+                    d[s, v] = du + w
+                    heapq.heappush(heap, (du + w, v))
+    return d
+
+
+def jittered_grid(nx, ny, seed):
+    m = M.grid_cloth(nx, ny)
+    rng = np.random.default_rng(seed)
+    step = 1.0 / (max(nx, ny) - 1)
+    m.vertices[:, [0, 2]] += rng.uniform(-0.3, 0.3, (m.n_vertices, 2)) * step
+    return m
 
 
 class TestGeodesicDistances:
@@ -76,6 +116,25 @@ class TestGeodesicDistances:
         ref = floyd_warshall(n, edges, weights)
         assert np.array_equal(dm.d, ref)
 
+    @pytest.mark.parametrize("mesh", [
+        jittered_grid(9, 7, seed=4),
+        M.Mesh(np.array([[0.0, 0, 0], [1.3, 0, 0.2], [0.4, 0, 0.9]]),
+               np.array([[0, 1, 2]])),
+    ], ids=["jittered-9x7", "triangle"])
+    def test_early_stop_matches_full_reference(self, mesh):
+        # each source stops once the vertices above it are settled; the upper
+        # triangle must still equal a full run bit for bit, the last source's
+        # row comes from the mirror alone, and the diagonal is zero
+        topo = M.build_topology(mesh)
+        rest = M.compute_rest_quantities(mesh, topo, 1.0)
+        dm = G.geodesic_distances(topo, rest)
+        ref = reference_dijkstra(topo, rest)
+        n = mesh.n_vertices
+        assert np.array_equal(np.triu(dm.d, 1), np.triu(ref, 1))
+        assert np.array_equal(dm.d, dm.d.T)
+        assert np.array_equal(np.diag(dm.d), np.zeros(n))
+        assert np.array_equal(dm.d[n - 1, :n - 1], ref[:n - 1, n - 1])
+
     def test_disconnected_names_smallest_component(self):
         edges = np.array([[0, 1], [2, 3], [3, 4]], dtype=np.intp)
         adjacency = [np.array(a, dtype=np.intp)
@@ -85,6 +144,17 @@ class TestGeodesicDistances:
         rest = M.RestState(np.ones(3), np.ones(5), np.zeros(0))
         with pytest.raises(DisconnectedMeshError, match=r"2 vertices: \[0, 1\]"):
             G.geodesic_distances(topo, rest)
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [2, 8, 9])
+    def test_blocked_equals_one_shot_bitwise(self, order, k):
+        # 150 rows: two full blocks and a partial one; numpy sums over k in a
+        # layout-dependent order, and the blocks must keep it
+        c = np.asarray(np.random.default_rng(k).standard_normal((150, k)), order=order)
+        one_shot = np.sqrt(((c[:, None] - c[None]) ** 2).sum(-1))
+        assert np.array_equal(G._pairwise_distances(c), one_shot)
 
 
 class TestStress:
@@ -162,6 +232,44 @@ class TestMdsEmbed:
         dm = G.DistanceMatrix(3, np.zeros((3, 3)))
         with pytest.raises(ValidationError, match="exceeds"):
             G.mds_embed(dm, k=4)
+
+
+class TestPreprocessBytes:
+    """`.geo1` digests written by the earlier implementation (numpy-array
+    Dijkstra run to exhaustion, one-shot n x n x k distances, two distance
+    passes per SMACOF iteration), with numpy's bundled OpenBLAS 0.3.31 on one
+    thread. The bytes depend on the BLAS thread count from a few hundred
+    vertices up, so each run is a subprocess with one BLAS thread."""
+
+    @staticmethod
+    def preprocess_digest(tmp_path, garment, config=None):
+        src = str(Path(G.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "out.geo1"
+        args = [sys.executable, "-m", "eslrsim.cli", "preprocess", "--garment",
+                str(garment), "--out", str(out), "--seed", "0"]
+        if config is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(config)
+            args += ["--config", str(cfg_path)]
+        run = subprocess.run(args, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_grid10_asset_default_config(self, tmp_path):
+        garment = Path(__file__).resolve().parents[1] / "assets" / "grid10.obj"
+        assert self.preprocess_digest(tmp_path, garment) == (
+            "e3496b3207ce80bd5957530739caa1f73de5cd2464cd4d9fe522fab60190c47a")
+
+    def test_grid20_four_smacof_iterations(self, tmp_path):
+        # 400 rows is not a multiple of the distance block size
+        garment = tmp_path / "grid20.obj"
+        M.save_obj(garment, M.grid_cloth(20, 20))
+        digest = self.preprocess_digest(
+            tmp_path, garment, '{"geodesic": {"mds_max_iters": 4}}')
+        assert digest == "cff8059960c1f2e3d54c5fcce881a60c3fc72140356c7781f7cb951b8e0ec795"
 
 
 class TestEmbeddingFile:
