@@ -80,7 +80,7 @@ def _load_model(ckpt_path) -> tuple[T.ModelParams, RunConfig]:
     state, header = T.load_checkpoint(ckpt_path)
     cfg = config_from_dict(header.get("config", {}))
     params = sim.build_model_params(cfg.model, cfg.geodesic.embed_dim,
-                                    seed=header.get("seed", 0))
+                                    seed=header["seed"])
     missing = set(params.names()) ^ set(state)
     if missing:
         raise ValidationError(
@@ -208,15 +208,15 @@ def run_bench(sizes: list[int], layer_counts: list[int], cfg: RunConfig,
                                 sim.make_body_motion("static_sphere", cfg), cfg)
         state = sim.initial_state(garment, scene.body, cfg)
         world = np.zeros((0, 2), dtype=np.intp)
+        edges = garment.topo.mesh_edges
+        plan = lsdmp.MeshPlan(edges, n, len(edges), n)
 
         def encode_once():
             positions = state.x_g
             velocities = state.q_g
             normals = np.zeros_like(positions)
             return lsdmp.encode(params, positions, velocities,
-                                mesh.vertices, normals, n,
-                                garment.topo.mesh_edges,
-                                len(garment.topo.mesh_edges), world)
+                                mesh.vertices, normals, plan, world)
 
         with T.no_grad():
             lg = encode_once()

@@ -1,8 +1,8 @@
 """Run configuration: one nested schema mirroring every module's knobs.
 
 Loaded from JSON; unknown keys are rejected at every level, every scalar must
-have its field's type, every key has a default, and the effective config is
-echoed into each output directory.
+have its field's type, counts must lie in their range, every key has a
+default, and the effective config is echoed into each output directory.
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ from .errors import ValidationError
 from .physics import PhysicsConfig, default_loss_weights
 
 
+def _at_least(minimum: int, default: int):
+    """An int field whose configured value must be >= `minimum`."""
+    return field(default=default, metadata={"min": minimum})
+
+
 @dataclass
 class MeshConfig:
     density: float = 0.2  # kg/m^2
@@ -25,17 +30,17 @@ class MeshConfig:
 
 @dataclass
 class GeodesicConfig:
-    embed_dim: int = 8
-    mds_max_iters: int = 500
+    embed_dim: int = _at_least(1, 8)
+    mds_max_iters: int = _at_least(0, 500)
     mds_tol: float = 1e-9
 
 
 @dataclass
 class ModelConfig:
-    hidden_dim: int = 64
-    lsdmp_layers: int = 15
-    smoothing_steps: int = 3
-    gsa_blocks: int = 4
+    hidden_dim: int = _at_least(1, 64)
+    lsdmp_layers: int = _at_least(0, 15)
+    smoothing_steps: int = _at_least(0, 3)
+    gsa_blocks: int = _at_least(0, 4)
     standardize_embedding: bool = False
 
 
@@ -50,7 +55,7 @@ class SimConfig:
     capsule_half_length: float = 0.3
     capsule_lat: int = 9
     capsule_lon: int = 12
-    eval_frames: int = 30
+    eval_frames: int = _at_least(1, 30)
 
 
 @dataclass
@@ -64,17 +69,17 @@ class SceneSpec:
 
 @dataclass
 class TrainerConfig:
-    iterations: int = 2000
+    iterations: int = _at_least(1, 2000)
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
     scenes: list[SceneSpec] = field(default_factory=list)
-    checkpoint_interval: int = 500
-    warmup_steps: int = 5  # free (untrained) frames before the training step
+    checkpoint_interval: int = _at_least(0, 500)
+    warmup_steps: int = _at_least(0, 5)  # free (untrained) frames before the training step
     warmup_mode: str = "model"  # model: no-grad model steps | drift: constant velocity
-    time_horizon: int = 60  # frames from which the time offset is sampled
+    time_horizon: int = _at_least(1, 60)  # frames from which the time offset is sampled
 
 
 @dataclass
@@ -107,6 +112,7 @@ def _build(cls, data, path):
     if not isinstance(data, dict):
         raise ValidationError(f"config section '{path}' must be an object")
     hints = typing.get_type_hints(cls)
+    minimum = {f.name: f.metadata.get("min") for f in dataclasses.fields(cls)}
     unknown = set(data) - set(hints)
     if unknown:
         raise ValidationError(
@@ -132,6 +138,9 @@ def _build(cls, data, path):
             kwargs[key] = _build(_SECTION_TYPES[key], value, sub)
         else:
             _check_scalar(value, hints[key], sub)
+            if minimum[key] is not None and value < minimum[key]:
+                raise ValidationError(
+                    f"config key '{sub}' must be >= {minimum[key]}, got {value!r}")
             kwargs[key] = value
     return cls(**kwargs)
 

@@ -247,8 +247,12 @@ def load_embedding(path) -> tuple[GeodesicEmbedding, DistanceMatrix | None]:
         magic = fh.readline()
         if magic != GEO_MAGIC:
             raise ValidationError(f"{path}: not an embedding file (bad magic {magic!r})")
-        header = json.loads(fh.readline().decode("utf-8"))
-        n, k = int(header["n"]), int(header["k"])
+        header = _read_header(fh, path)
+        n, k = _header_count(header, "n", path), _header_count(header, "k", path)
+        stress = header.get("final_stress")
+        if isinstance(stress, bool) or not isinstance(stress, (int, float)):
+            raise ValidationError(
+                f"{path}: header field 'final_stress' must be a number, got {stress!r}")
         buf = fh.read(n * k * 8)
         if len(buf) != n * k * 8:
             raise ValidationError(f"{path}: truncated embedding block")
@@ -259,8 +263,27 @@ def load_embedding(path) -> tuple[GeodesicEmbedding, DistanceMatrix | None]:
             if len(buf) != n * n * 8:
                 raise ValidationError(f"{path}: truncated distance block")
             dist = DistanceMatrix(n=n, d=np.frombuffer(buf, dtype="<f8").reshape(n, n).copy())
-    emb = GeodesicEmbedding(k=k, coords=coords, final_stress=float(header["final_stress"]))
+    emb = GeodesicEmbedding(k=k, coords=coords, final_stress=float(stress))
     return emb, dist
+
+
+def _read_header(fh, path) -> dict:
+    """The JSON object on the line after a file's magic."""
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValidationError(f"{path}: unreadable header: {e}") from None
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: header must be a JSON object")
+    return header
+
+
+def _header_count(header: dict, key: str, path) -> int:
+    value = header.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(
+            f"{path}: header field '{key}' must be a non-negative integer, got {value!r}")
+    return value
 
 
 def default_embedding_path(garment_path: str) -> str:

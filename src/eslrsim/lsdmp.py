@@ -24,6 +24,50 @@ MESH_EDGE_FEATURES = 8  # relative position + norm, relative rest position + nor
 WORLD_EDGE_FEATURES = 4  # relative position + norm
 
 
+class EdgeIncidence:
+    """An edge list's incidences on `n` vertices: the gather of each endpoint
+    (its backward is a scatter) and the incident-edge sum at each vertex."""
+
+    def __init__(self, edges: np.ndarray, n: int):
+        self.first = T.Incidence(edges[:, 0], n)
+        self.second = T.Incidence(edges[:, 1], n)
+        self.incident = T.Incidence(np.concatenate([edges[:, 0], edges[:, 1]]), n)
+
+
+class MeshPlan:
+    """Everything LSDMP derives from the fixed combined mesh, built once per
+    scene: the edge incidences and the smoothing operator's message routing.
+
+    Smoothing message r goes from `src[r]` to `dst[r]` along garment edge
+    `r mod E_g`, with the first endpoint of every edge as destination first.
+    Per step of the destination incidence, `step_src` and `step_edges` hold
+    the source vertices and edge rows to add; `mask` marks garment vertices
+    with a neighbour (their output is the mean), `keep = 1 - mask` the rows
+    that pass through.
+    """
+
+    def __init__(self, mesh_edges: np.ndarray, n_garment: int, n_garment_edges: int,
+                 n_total: int):
+        self.mesh_edges = mesh_edges
+        self.n_garment = n_garment
+        self.n_garment_edges = n_garment_edges
+        self.n_total = n_total
+        self.edges = EdgeIncidence(mesh_edges, n_total)
+        ge = mesh_edges[:n_garment_edges]
+        self.ends = ge[:, 0], ge[:, 1]
+        src = np.concatenate([ge[:, 1], ge[:, 0]])
+        self.src = T.Incidence(src, n_total)  # the backward's scatter
+        self.dst = T.Incidence(np.concatenate([ge[:, 0], ge[:, 1]]), n_total)
+        eidx = np.tile(np.arange(n_garment_edges), 2)
+        self.step_src = [src[rows] for rows in self.dst.steps]
+        self.step_edges = [eidx[rows] for rows in self.dst.steps]
+        counts = self.dst.counts
+        self.denom = np.maximum(counts, 1.0)[:, None]
+        active = (counts > 0) & (np.arange(n_total) < n_garment)
+        self.mask = active.astype(np.float64)[:, None]
+        self.keep = 1.0 - self.mask
+
+
 @dataclass
 class LatentGraph:
     vertex_feats: Tensor  # (n_total, h); garment rows first
@@ -33,6 +77,9 @@ class LatentGraph:
     world_edges: np.ndarray  # (W, 2) combined indices (garment, offset body)
     n_garment: int
     n_garment_edges: int
+    # built from the fields above when not given; every layer reuses them
+    plan: MeshPlan | None = None
+    world_plan: EdgeIncidence | None = None
 
     def __post_init__(self):
         h = self.vertex_feats.data.shape[1]
@@ -43,6 +90,14 @@ class LatentGraph:
         for name, idx in (("mesh", self.mesh_edges), ("world", self.world_edges)):
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise ValueError(f"{name} edge index out of range")
+        if self.plan is None:
+            self.plan = MeshPlan(self.mesh_edges, self.n_garment, self.n_garment_edges, n)
+        elif (self.plan.mesh_edges is not self.mesh_edges or self.plan.n_total != n
+              or self.plan.n_garment != self.n_garment
+              or self.plan.n_garment_edges != self.n_garment_edges):
+            raise ValueError("mesh plan does not describe this graph")
+        if self.world_plan is None:
+            self.world_plan = EdgeIncidence(self.world_edges, n)
 
     @property
     def n_total(self) -> int:
@@ -88,21 +143,23 @@ def assemble_input_features(positions: np.ndarray, velocities: np.ndarray,
 
 
 def encode(params: ModelParams, positions: np.ndarray, velocities: np.ndarray,
-           rest_positions: np.ndarray, normals: np.ndarray, n_garment: int,
-           mesh_edges: np.ndarray, n_garment_edges: int,
+           rest_positions: np.ndarray, normals: np.ndarray, plan: MeshPlan,
            world_edges: np.ndarray) -> LatentGraph:
-    """Build the latent graph for one step from plain state arrays."""
+    """Build the latent graph for one step from plain state arrays; the
+    world-edge incidences are built here, once per step."""
     vertex, mesh_e, world_e = assemble_input_features(
-        positions, velocities, rest_positions, normals, n_garment,
-        mesh_edges, world_edges)
+        positions, velocities, rest_positions, normals, plan.n_garment,
+        plan.mesh_edges, world_edges)
     return LatentGraph(
         vertex_feats=T.mlp_apply(params, "encoder.vertex", Tensor(vertex)),
         mesh_edge_feats=T.mlp_apply(params, "encoder.mesh_edge", Tensor(mesh_e)),
         world_edge_feats=T.mlp_apply(params, "encoder.world_edge", Tensor(world_e)),
-        mesh_edges=mesh_edges,
+        mesh_edges=plan.mesh_edges,
         world_edges=world_edges,
-        n_garment=n_garment,
-        n_garment_edges=n_garment_edges,
+        n_garment=plan.n_garment,
+        n_garment_edges=plan.n_garment_edges,
+        plan=plan,
+        world_plan=EdgeIncidence(world_edges, plan.n_total),
     )
 
 
@@ -136,14 +193,13 @@ def mp_edge_update(lg: LatentGraph, params: ModelParams,
     world edges use separate MLPs."""
     v = lg.vertex_feats
 
-    def update(edges, feats, mlp_name):
-        inp = T.concat([feats,
-                        T.gather_rows(v, edges[:, 0]),
-                        T.gather_rows(v, edges[:, 1])], axis=-1)
+    def update(inc, feats, mlp_name):
+        inp = T.concat([feats, T.gather_rows(v, inc.first),
+                        T.gather_rows(v, inc.second)], axis=-1)
         return T.add(T.mlp_apply(params, mlp_name, inp), feats)
 
-    return (update(lg.mesh_edges, lg.mesh_edge_feats, f"{name}.f_e_mesh"),
-            update(lg.world_edges, lg.world_edge_feats, f"{name}.f_e_world"))
+    return (update(lg.plan.edges, lg.mesh_edge_feats, f"{name}.f_e_mesh"),
+            update(lg.world_plan, lg.world_edge_feats, f"{name}.f_e_world"))
 
 
 def mp_vertex_update(lg: LatentGraph, mesh_e: Tensor, world_e: Tensor,
@@ -152,33 +208,63 @@ def mp_vertex_update(lg: LatentGraph, mesh_e: Tensor, world_e: Tensor,
     residual; vertices with no incident edges of a kind get a zero sum."""
     n = lg.n_total
 
-    def incident_sum(edges, feats):
-        dst = np.concatenate([edges[:, 0], edges[:, 1]])
-        both = T.concat([feats, feats], axis=0)
-        return T.segment_sum(both, dst, n)
+    def incident_sum(inc, feats):
+        return T.segment_sum(T.concat([feats, feats], axis=0), inc.incident, n)
 
     inp = T.concat([lg.vertex_feats,
-                    incident_sum(lg.mesh_edges, mesh_e),
-                    incident_sum(lg.world_edges, world_e)], axis=-1)
+                    incident_sum(lg.plan.edges, mesh_e),
+                    incident_sum(lg.world_plan, world_e)], axis=-1)
     return T.add(T.mlp_apply(params, f"{name}.f_v", inp), lg.vertex_feats)
 
 
-def laplacian_smooth_step(v: Tensor, mesh_e: Tensor, lg: LatentGraph) -> Tensor:
+def smoothing_edge_rows(mesh_e: Tensor, lg: LatentGraph) -> list[np.ndarray]:
+    """The edge rows each smoothing step adds, per step of the destination
+    incidence; they are the same for all `s` steps of a layer."""
+    return [mesh_e.data[eidx] for eidx in lg.plan.step_edges]
+
+
+def laplacian_smooth_step(v: Tensor, mesh_e: Tensor, lg: LatentGraph,
+                          edge_rows: list[np.ndarray] | None = None) -> Tensor:
     """Average of (neighbor vertex + connecting edge) features over garment mesh
-    edges; parameter-free. Body vertices and neighborless vertices pass through."""
-    ge = lg.mesh_edges[:lg.n_garment_edges]
-    n = lg.n_total
-    if len(ge) == 0:
+    edges; parameter-free. Body vertices and neighborless vertices pass through.
+
+    One tape op. Each message `v[src] + e` is added straight into its
+    destination's sum in ascending message order, so the values equal those of
+    gathering all messages and taking `segment_mean`. `edge_rows` are
+    `smoothing_edge_rows(mesh_e, lg)`, gathered here when not given. The
+    backward lists `v` twice, the scatter through the neighbour means first
+    and the pass-through `g * keep` second, in the order the separate
+    gather/mean/mask ops accumulated them.
+    """
+    plan = lg.plan
+    if plan.n_garment_edges == 0:
         return v
-    src = np.concatenate([ge[:, 1], ge[:, 0]])
-    dst = np.concatenate([ge[:, 0], ge[:, 1]])
-    eidx = np.tile(np.arange(len(ge)), 2)
-    msg = T.add(T.gather_rows(v, src), T.gather_rows(mesh_e, eidx))
-    mean = T.segment_mean(msg, dst, n)
-    counts = np.bincount(dst, minlength=n)
-    active = (counts > 0) & (np.arange(n) < lg.n_garment)
-    mask = Tensor(active.astype(np.float64)[:, None])
-    return T.add(T.mul(mean, mask), T.mul(v, T.Tensor(1.0 - mask.data)))
+    if edge_rows is None:
+        edge_rows = smoothing_edge_rows(mesh_e, lg)
+    acc = np.zeros(v.data.shape)
+    for src, e in zip(plan.step_src, edge_rows):
+        acc[:len(src)] += v.data[src] + e
+    mean = acc[plan.dst.inverse]
+    mean /= plan.denom
+    mean *= plan.mask
+    out = v.data * plan.keep
+    out += mean
+    n_edges = mesh_e.data.shape[0]
+
+    def vjp(g):
+        gm = g * plan.mask
+        gm /= plan.denom
+        gv = ge = None
+        if v.requires_grad:
+            gv = plan.src.sum(gm[plan.dst.ids])
+        if mesh_e.requires_grad:
+            ge = np.zeros((n_edges,) + g.shape[1:])
+            head = ge[:plan.n_garment_edges]
+            head += gm[plan.ends[0]]
+            head += gm[plan.ends[1]]
+        return gv, ge, (g * plan.keep if v.requires_grad else None)
+
+    return T._node(out, (v, mesh_e, v), "laplacian_smooth", vjp)
 
 
 def lsdmp_layer(lg: LatentGraph, params: ModelParams, name: str,
@@ -190,8 +276,9 @@ def lsdmp_layer(lg: LatentGraph, params: ModelParams, name: str,
     mesh_e, world_e = mp_edge_update(lg, params, name)
     v_a = mp_vertex_update(lg, mesh_e, world_e, params, name)
     v_p = v_a
+    edge_rows = smoothing_edge_rows(mesh_e, lg) if smoothing_steps else []
     for _ in range(smoothing_steps):
-        v_p = laplacian_smooth_step(v_p, mesh_e, lg)
+        v_p = laplacian_smooth_step(v_p, mesh_e, lg, edge_rows)
     v_out = T.add(T.mlp_apply(params, f"{name}.f_v_prime", v_p), v_a)
     return replace(lg, vertex_feats=v_out, mesh_edge_feats=mesh_e,
                    world_edge_feats=world_e)

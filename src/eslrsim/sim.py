@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +40,22 @@ class SimState:
     x_b: np.ndarray  # (n_B, 3) body positions (kinematic)
     q_b: np.ndarray  # (n_B, 3) body velocities
     dt: float
+    # World edges of (x_g, x_b) and body vertex normals at x_b, kept by
+    # step_loss on the state it predicts so the next frame does not rebuild
+    # them. Assigning x_g or x_b drops them; never change those arrays in place.
+    world: WorldEdgeSet | None = field(default=None, repr=False, compare=False)
+    body_normals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError(f"dt must be > 0, got {self.dt}")
+
+    def __setattr__(self, name, value):
+        if name in ("x_g", "x_b"):
+            self.__dict__["world"] = None
+        if name == "x_b":
+            self.__dict__["body_normals"] = None
+        object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -79,8 +91,7 @@ class Scene:
     garment: GarmentAssets
     body: BodyMotion
     body_topo: Topology
-    mesh_edges: np.ndarray  # combined; garment rows first
-    n_garment_edges: int
+    plan: lsdmp.MeshPlan  # combined mesh, garment edge rows first
     rest_positions: np.ndarray  # combined garment rest + body template
     cfg: RunConfig
     embedding: np.ndarray  # possibly standardized
@@ -217,9 +228,10 @@ def build_scene(garment: GarmentAssets, body: BodyMotion, cfg: RunConfig) -> Sce
     embed = garment.embedding
     if cfg.model.standardize_embedding:
         embed = gsa_mod.standardize_embedding(embed)
+    n_total = n_g + body.template.n_vertices
     return Scene(garment=garment, body=body, body_topo=body_topo,
-                 mesh_edges=combined,
-                 n_garment_edges=len(garment.topo.mesh_edges),
+                 plan=lsdmp.MeshPlan(combined, n_g, len(garment.topo.mesh_edges),
+                                     n_total),
                  rest_positions=np.concatenate(
                      [garment.mesh.vertices, body.template.vertices], axis=0),
                  cfg=cfg, embedding=embed)
@@ -266,13 +278,15 @@ def initial_state(garment: GarmentAssets, motion: BodyMotion, cfg: RunConfig,
     dt = cfg.physics.dt
     x_b, q_b = body_motion_eval(motion, t0 * dt)
     state = SimState(t=t0, x_g=x_g, q_g=np.zeros_like(x_g), x_b=x_b, q_b=q_b, dt=dt)
-    dist = _nearest_body_signed_distance(x_g, x_b, motion.template.triangles,
-                                         garment.world_radius)
-    eps = cfg.physics.collision_margin
-    if len(dist) and dist.min() < -eps:  # margin violation beyond 2 * eps
-        warnings.warn(
-            f"initial placement penetrates the body by "
-            f"{eps - dist.min():.4f} m (> 2x margin); training may struggle")
+    pairs = build_world_edges(x_g, x_b, garment.world_radius).pairs
+    if len(pairs):
+        dist = _nearest_body_signed_distance(
+            x_g, x_b, pairs, vertex_normals(x_b, motion.template.triangles))
+        eps = cfg.physics.collision_margin
+        if dist.min() < -eps:  # margin violation beyond 2 * eps
+            warnings.warn(
+                f"initial placement penetrates the body by "
+                f"{eps - dist.min():.4f} m (> 2x margin); training may struggle")
     return state
 
 
@@ -289,7 +303,7 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     integrate. See module docstring for the exact sequence."""
     cfg = scene.cfg
     n_g = scene.garment.mesh.n_vertices
-    world = build_world_edges(state.x_g, state.x_b, scene.garment.world_radius)
+    world = _world_edges(state, scene)
     world_combined = world.pairs.copy()
     if len(world_combined):
         world_combined[:, 1] += n_g
@@ -298,11 +312,10 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     velocities = np.concatenate([state.q_g, state.q_b], axis=0)
     normals = np.concatenate(
         [vertex_normals(state.x_g, scene.garment.mesh.triangles),
-         vertex_normals(state.x_b, scene.body.template.triangles)], axis=0)
+         _body_normals(state, scene)], axis=0)
 
     lg = lsdmp.encode(params, positions, velocities, scene.rest_positions,
-                      normals, n_g, scene.mesh_edges, scene.n_garment_edges,
-                      world_combined)
+                      normals, scene.plan, world_combined)
     v_short = lsdmp.lsdmp_forward(lg, params, cfg.model.lsdmp_layers,
                                   cfg.model.smoothing_steps).vertex_feats
     if cfg.model.gsa_blocks > 0:
@@ -335,15 +348,16 @@ def step_loss(state: SimState, out: StepOutput, scene: Scene,
 
     Collision pairs come from the predicted positions against the advanced
     body; the friction contact set is fixed at the pre-step state so no
-    gradient flows through set membership.
+    gradient flows through set membership. The predicted state keeps its
+    world edges and body normals for the next frame.
     """
     cfg = scene.cfg.physics
     garment = scene.garment
     nxt = out.next_state
-    normals_next = vertex_normals(nxt.x_b, scene.body.template.triangles)
-    normals_curr = vertex_normals(state.x_b, scene.body.template.triangles)
-    collision = build_world_edges(out.x_next.data, nxt.x_b,
-                                  garment.world_radius).pairs
+    nxt.world = _world_edges(nxt, scene)
+    nxt.body_normals = normals_next = _body_normals(nxt, scene)
+    normals_curr = _body_normals(state, scene)
+    collision = nxt.world.pairs
     contacts = phys.contact_pairs(out.world_edges.pairs, state.x_g, state.x_b,
                                   normals_curr, cfg)
     return phys.total_loss(
@@ -353,17 +367,27 @@ def step_loss(state: SimState, out: StepOutput, scene: Scene,
         diagnostics=diagnostics)
 
 
+def _world_edges(state: SimState, scene: Scene) -> WorldEdgeSet:
+    """The state's world edges: those step_loss kept on it, else built."""
+    if state.world is not None:
+        return state.world
+    return build_world_edges(state.x_g, state.x_b, scene.garment.world_radius)
+
+
+def _body_normals(state: SimState, scene: Scene) -> np.ndarray:
+    """The body's vertex normals at the state: those step_loss kept, else made."""
+    if state.body_normals is not None:
+        return state.body_normals
+    return vertex_normals(state.x_b, scene.body.template.triangles)
+
+
 def _nearest_body_signed_distance(x_g: np.ndarray, x_b: np.ndarray,
-                                  body_tris: np.ndarray, radius: float
+                                  pairs: np.ndarray, normals: np.ndarray
                                   ) -> np.ndarray:
     """Signed normal distance of each garment vertex to its nearest body vertex,
-    for garment vertices with any body vertex in range. Using only the nearest
-    pair keeps far-side vertices (normals facing away) from reading as
-    penetration."""
-    pairs = build_world_edges(x_g, x_b, radius).pairs
-    if not len(pairs):
-        return np.zeros(0)
-    normals = vertex_normals(x_b, body_tris)
+    for garment vertices with any body vertex in range (the world-edge
+    `pairs`, at least one). Using only the nearest pair keeps far-side
+    vertices (normals facing away) from reading as penetration."""
     d2 = ((x_g[pairs[:, 0]] - x_b[pairs[:, 1]]) ** 2).sum(axis=1)
     nearest: dict[int, int] = {}
     for row, (g, _) in enumerate(pairs):
@@ -374,14 +398,15 @@ def _nearest_body_signed_distance(x_g: np.ndarray, x_b: np.ndarray,
     return ((x_g[sel[:, 0]] - x_b[sel[:, 1]]) * normals[sel[:, 1]]).sum(axis=1)
 
 
-def max_penetration_depth(x_g: np.ndarray, x_b: np.ndarray, body_tris: np.ndarray,
-                          radius: float, margin: float) -> float:
+def max_penetration_depth(state: SimState, scene: Scene) -> float:
     """Worst margin violation against the nearest body vertex; values above the
     margin mean the surface itself is pierced."""
-    dist = _nearest_body_signed_distance(x_g, x_b, body_tris, radius)
-    if not len(dist):
+    pairs = _world_edges(state, scene).pairs
+    if not len(pairs):
         return 0.0
-    return float(max(0.0, (margin - dist).max()))
+    dist = _nearest_body_signed_distance(state.x_g, state.x_b, pairs,
+                                         _body_normals(state, scene))
+    return float(max(0.0, (scene.cfg.physics.collision_margin - dist).max()))
 
 
 def rollout(state: SimState, params: ModelParams, n_frames: int, scene: Scene,
@@ -409,10 +434,7 @@ def rollout(state: SimState, params: ModelParams, n_frames: int, scene: Scene,
             if not (np.all(np.isfinite(nxt.x_g)) and np.all(np.isfinite(nxt.q_g))):
                 raise RolloutError(frame, "non-finite garment state")
             record = {"frame": frame, **breakdown,
-                      "max_penetration": max_penetration_depth(
-                          nxt.x_g, nxt.x_b, scene.body.template.triangles,
-                          scene.garment.world_radius,
-                          scene.cfg.physics.collision_margin)}
+                      "max_penetration": max_penetration_depth(nxt, scene)}
             records.append(record)
             if out_dir is not None:
                 frame_path = out_dir / f"frame_{frame:05d}.obj"

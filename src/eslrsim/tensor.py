@@ -18,9 +18,12 @@ bit-identical.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .errors import ValidationError
 
 CHECKPOINT_MAGIC = b"ESLR-CKPT1\n"
 
@@ -262,6 +265,19 @@ def matmul(a, b) -> Tensor:
                             a.data.T @ g if b.requires_grad else None))
 
 
+def linear(x, w, b) -> Tensor:
+    """`x @ w + b` as one op; the bias is added in place to the product, so the
+    values equal those of `add(matmul(x, w), b)`."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise _shape_err("linear", x.data.shape, w.data.shape)
+    y = x.data @ w.data
+    y += b.data
+    return _node(y, (x, w, b), "linear",
+                 lambda g: (g @ w.data.T if x.requires_grad else None,
+                            x.data.T @ g if w.requires_grad else None, g))
+
+
 def concat(parts: Iterable, axis: int = -1) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     widths = [p.data.shape[axis] for p in parts]
@@ -290,49 +306,108 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
     return _node(a.data[..., start:stop], (a,), "slice_cols", vjp)
 
 
-def gather_rows(a, index) -> Tensor:
-    a = as_tensor(a)
-    index = np.asarray(index, dtype=np.intp)
-    return _node(a.data[index], (a,), "gather_rows",
-                 lambda g: (_scatter_add_rows(g, index, a.data.shape[0]),))
+class Incidence:
+    """Which of `n` segments each row of a (R, ...) array belongs to, for
+    deterministic segment sums that can be built once and reused.
 
-
-def _scatter_add_rows(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic row scatter-add: accumulation follows ascending row order.
-
-    One bincount over composite (segment, column) ids; bincount adds in input
-    order, so per-segment sums always accumulate rows ascending.
+    `sum(values)` starts every segment at 0.0 and adds its rows in ascending
+    row order, the order `np.bincount` adds in, so its results are
+    bit-identical to a bincount scatter, signed zeros included. Rows are
+    grouped by segment and segments visited in descending size: step k adds
+    the k-th row of every segment with more than k rows in one gather,
+    `acc[:m_k] += values[rows_k]`, and one last gather puts the segments back
+    in id order. The loop runs as many times as the largest segment has rows;
+    for a mesh incidence that is the largest vertex degree (at most 12 on the
+    meshes used here). The grouping is made on first use and kept.
     """
-    if values.ndim == 1:
-        return np.bincount(ids, weights=values, minlength=n)
-    h = values.shape[1]
-    flat_ids = (ids[:, None] * h + np.arange(h)).ravel()
-    return np.bincount(flat_ids, weights=values.ravel(),
-                       minlength=n * h).reshape(n, h)
+
+    def __init__(self, ids, n: int):
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 1:
+            raise ValueError(f"Incidence: ids must be 1-d, got shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError("segment id out of range")
+        self.ids = ids
+        self.n = n
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Rows per segment."""
+        return np.bincount(self.ids, minlength=self.n)
+
+    @cached_property
+    def steps(self) -> list[np.ndarray]:
+        """Step k: the k-th row of each segment with more than k rows, for
+        segments in `order`."""
+        sizes = self.counts[self.order]
+        by_segment = np.argsort(self.ids, kind="stable")  # rows ascending per segment
+        starts = (np.cumsum(self.counts) - self.counts)[self.order]
+        return [by_segment[starts[:np.count_nonzero(sizes > k)] + k]
+                for k in range(sizes[0] if self.n else 0)]
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Segments by descending size; ties in id order."""
+        return np.argsort(-self.counts, kind="stable")
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Position of each segment in `order`: `acc[inverse]` is in id order."""
+        inv = np.empty(self.n, dtype=np.intp)
+        inv[self.order] = np.arange(self.n)
+        return inv
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment sums of the rows of `values`; empty segments are 0.0."""
+        if values.shape[0] != self.ids.shape[0]:
+            raise _shape_err("Incidence.sum", values.shape, self.ids.shape)
+        acc = np.zeros((self.n,) + values.shape[1:])
+        for rows in self.steps:
+            acc[:len(rows)] += values[rows]
+        return acc[self.inverse]
+
+
+def _incidence(op: str, segment_ids, n: int) -> Incidence:
+    """`segment_ids` as an Incidence over `n` segments."""
+    if not isinstance(segment_ids, Incidence):
+        try:
+            return Incidence(segment_ids, n)
+        except ValueError as e:
+            raise ValueError(f"{op}: {e}") from None
+    if segment_ids.n != n:
+        raise ValueError(f"{op}: incidence has {segment_ids.n} segments, expected {n}")
+    return segment_ids
+
+
+def gather_rows(a, index) -> Tensor:
+    """Rows `a[index]`; `index` is an id array or an Incidence over a's rows,
+    whose sum is the backward scatter."""
+    a = as_tensor(a)
+    inc = _incidence("gather_rows", index, a.data.shape[0])
+    return _node(a.data[inc.ids], (a,), "gather_rows", lambda g: (inc.sum(g),))
 
 
 def segment_sum(values, segment_ids, n_segments: int) -> Tensor:
-    """Sum rows of `values` into `n_segments` buckets; empty segments are zero."""
+    """Sum rows of `values` into `n_segments` buckets; empty segments are zero.
+    `segment_ids` is an id per row or a prebuilt Incidence."""
     values = as_tensor(values)
-    ids = np.asarray(segment_ids, dtype=np.intp)
-    if ids.shape[0] != values.data.shape[0]:
-        raise _shape_err("segment_sum", values.data.shape, ids.shape)
-    if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
-        raise ValueError("segment_sum: segment id out of range")
-    return _node(_scatter_add_rows(values.data, ids, n_segments), (values,),
-                 "segment_sum", lambda g: (g[ids],))
+    inc = _incidence("segment_sum", segment_ids, n_segments)
+    if inc.ids.shape[0] != values.data.shape[0]:
+        raise _shape_err("segment_sum", values.data.shape, inc.ids.shape)
+    return _node(inc.sum(values.data), (values,), "segment_sum",
+                 lambda g: (g[inc.ids],))
 
 
 def segment_mean(values, segment_ids, n_segments: int) -> Tensor:
-    """Per-segment mean; segments of size 0 yield zeros by convention."""
+    """Per-segment mean; segments of size 0 yield zeros by convention.
+    `segment_ids` is an id per row or a prebuilt Incidence."""
     values = as_tensor(values)
-    ids = np.asarray(segment_ids, dtype=np.intp)
-    counts = np.bincount(ids, minlength=n_segments).astype(np.float64)
-    safe = np.maximum(counts, 1.0)
-    summed = _scatter_add_rows(values.data, ids, n_segments)
+    inc = _incidence("segment_mean", segment_ids, n_segments)
+    safe = np.maximum(inc.counts, 1.0)
+    summed = inc.sum(values.data)
     denom = safe if summed.ndim == 1 else safe[:, None]
     return _node(summed / denom, (values,), "segment_mean",
-                 lambda g: ((g / denom)[ids],))
+                 lambda g: ((g / denom)[inc.ids],))
 
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -477,21 +552,40 @@ def save_checkpoint(path, params: ModelParams, config: dict, iteration: int,
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (name -> array, header dict)."""
+    """Read a checkpoint; returns (name -> array, header dict). A file that is
+    not a well-formed checkpoint raises ValidationError."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        header = json.loads(fh.readline().decode("utf-8"))
+            raise ValidationError(f"{path}: not a checkpoint file (bad magic {magic!r})")
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ValidationError(f"{path}: unreadable header: {e}") from None
+        entries = header.get("params") if isinstance(header, dict) else None
+        if not isinstance(entries, list) or not all(_is_param_entry(e) for e in entries):
+            raise ValidationError(
+                f"{path}: header needs 'params', a list of {{name, shape}} entries "
+                f"with non-negative integer dimensions")
+        seed = header.get("seed")
+        if type(seed) is not int or seed < 0:
+            raise ValidationError(
+                f"{path}: header field 'seed' must be a non-negative integer, got {seed!r}")
         state: dict[str, np.ndarray] = {}
-        for entry in header["params"]:
+        for entry in entries:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated block for '{entry['name']}'")
+                raise ValidationError(f"{path}: truncated block for '{entry['name']}'")
             state[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return state, header
+
+
+def _is_param_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in entry["shape"]))
 
 
 # -- MLP helpers -----------------------------------------------------------
@@ -525,7 +619,7 @@ def mlp_apply(params: ModelParams, name: str, x) -> Tensor:
                          params[f"{name}.w0"].data.shape)
     h = x
     for i in range(3):
-        h = add(matmul(h, params[f"{name}.w{i}"]), params[f"{name}.b{i}"])
+        h = linear(h, params[f"{name}.w{i}"], params[f"{name}.b{i}"])
         if i < 2:
             h = relu(h)
     if f"{name}.ln_gain" in params:

@@ -136,6 +136,29 @@ class TestTrainCli:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "hidden_dim", 0),
+        ("trainer", "warmup_steps", -3),
+        ("model", "smoothing_steps", -1),
+        ("model", "lsdmp_layers", -1),
+        ("model", "gsa_blocks", -2),
+        ("trainer", "time_horizon", -1),
+    ])
+    def test_out_of_range_config_exits_2(self, tmp_path, garment_obj, capsys,
+                                         section, key, value):
+        cfg_path = small_config_file(tmp_path, garment_obj, iterations=1)
+        data = json.loads(cfg_path.read_text())
+        data[section][key] = value
+        cfg_path.write_text(json.dumps(data))
+        assert cli.main(["preprocess", "--garment", str(garment_obj),
+                         "--embed-dim", "3"]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and ">=" in err and "Traceback" not in err
+
     def test_config_accepts_int_for_float_and_null_for_optional(self):
         cfg = config_from_dict({
             "physics": {"dt": 1, "weights": {"stretch": 2}},
@@ -289,6 +312,56 @@ class TestBenchCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--sizes" in err and "Traceback" not in err
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header line of a magic-prefixed file by edit(header)."""
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    header = edit(json.loads(header))
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + rest)
+
+
+class TestFileHeaders:
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(lambda h: {k: v for k, v in h.items() if k != "n"}, "'n'",
+                     id="no-n"),
+        pytest.param(lambda h: {k: v for k, v in h.items() if k != "k"}, "'k'",
+                     id="no-k"),
+        pytest.param(lambda h: {**h, "n": 25.0}, "'n'", id="float-n"),
+        pytest.param(lambda h: {**h, "n": "25"}, "'n'", id="string-n"),
+        pytest.param(lambda h: {**h, "k": -3}, "'k'", id="negative-k"),
+    ])
+    def test_bad_embedding_header_exits_2(self, tmp_path, garment_obj, capsys,
+                                          edit, named):
+        cfg_path = small_config_file(tmp_path, garment_obj, iterations=1)
+        assert cli.main(["preprocess", "--garment", str(garment_obj),
+                         "--embed-dim", "3"]) == 0
+        rewrite_header(garment_obj.with_suffix(".geo1"), edit)
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "grid.geo1" in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(lambda h: {k: v for k, v in h.items() if k != "params"},
+                     "params", id="no-params"),
+        pytest.param(lambda h: {**h, "params": [{"name": "x", "shape": [-1]}]},
+                     "params", id="negative-shape"),
+        pytest.param(lambda h: [h], "params", id="not-an-object"),
+        pytest.param(lambda h: {**h, "seed": "x"}, "seed", id="string-seed"),
+    ])
+    def test_bad_checkpoint_header_exits_2(self, tmp_path, garment_obj, trained,
+                                           capsys, edit, named):
+        rewrite_header(trained, edit)
+        capsys.readouterr()
+        rc = cli.main(["simulate", "--ckpt", str(trained), "--garment",
+                       str(garment_obj), "--body", "static_sphere",
+                       "--frames", "1", "--out", str(tmp_path / "frames")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
 
 class TestExitCodes:

@@ -119,7 +119,8 @@ class TestEncode:
         normals = rng.standard_normal((7, 3))
         mesh_edges = np.array([[0, 1], [4, 5]], dtype=np.intp)
         world = np.array([[1, 4]], dtype=np.intp)
-        lg = L.encode(params, pos, vel, rest, normals, n_g, mesh_edges, 1, world)
+        lg = L.encode(params, pos, vel, rest, normals,
+                      L.MeshPlan(mesh_edges, n_g, 1, 7), world)
         vertex, mesh_f, world_f = L.assemble_input_features(
             pos, vel, rest, normals, n_g, mesh_edges, world)
         ref = T.mlp_apply(params, "encoder.vertex", T.Tensor(vertex))
@@ -374,3 +375,103 @@ class TestPermutationEquivariance:
             n_garment=lg.n_garment, n_garment_edges=lg.n_garment_edges)
         out2 = L.lsdmp_layer(lg2, params, "lsdmp.layer0", 2).vertex_feats.data
         assert out2.tobytes() == out[inv].tobytes()
+
+
+def scatter_rows(values, ids, n):
+    """Row scatter-add in ascending row order onto 0.0, one bincount per column."""
+    return np.stack([np.bincount(ids, weights=values[:, c], minlength=n)
+                     for c in range(values.shape[1])], axis=1)
+
+
+def unfused_smooth_step(v, e, lg):
+    """The smoothing step as separate tape ops: gather both message halves, add,
+    segment mean over destinations, then blend with the mask."""
+    ge = lg.mesh_edges[:lg.n_garment_edges]
+    n = lg.n_total
+    src = np.concatenate([ge[:, 1], ge[:, 0]])
+    dst = np.concatenate([ge[:, 0], ge[:, 1]])
+    eidx = np.tile(np.arange(len(ge)), 2)
+    msg = T.add(T.gather_rows(v, src), T.gather_rows(e, eidx))
+    counts = np.bincount(dst, minlength=n)
+    denom = np.maximum(counts, 1.0)[:, None]
+    mean = T.Tensor(scatter_rows(msg.data, dst, n) / denom)
+    if msg.requires_grad:  # segment_mean with the bincount scatter
+        mean = T._node(mean.data, (msg,), "segment_mean", lambda g: ((g / denom)[dst],))
+    active = (counts > 0) & (np.arange(n) < lg.n_garment)
+    mask = active.astype(np.float64)[:, None]
+    return T.add(T.mul(mean, T.Tensor(mask)), T.mul(v, T.Tensor(1.0 - mask)))
+
+
+def unfused_gather_backward(monkeypatch):
+    """Make gather_rows scatter its gradient with bincount, as before the
+    Incidence existed."""
+    def gather_rows(a, index):
+        ids = np.asarray(index, dtype=np.intp)
+        return T._node(a.data[ids], (a,), "gather_rows",
+                       lambda g: (scatter_rows(g, ids, a.data.shape[0]),))
+    monkeypatch.setattr(T, "gather_rows", gather_rows)
+
+
+class TestFusedSmoothing:
+    def test_forward_and_gradients_equal_unfused_ops_bitwise(self, monkeypatch):
+        h = 5
+        lg = random_graph(11, h, seed=30, n_garment=8)
+        rng = np.random.default_rng(31)
+        v0 = rng.standard_normal((11, h))
+        v0[3] = -0.0  # signed zeros pass through as in the unfused ops
+        e0 = rng.standard_normal((len(lg.mesh_edges), h))
+        w = rng.standard_normal((11, h))
+
+        def run(smooth):
+            v = T.Tensor(v0.copy(), requires_grad=True)
+            e = T.Tensor(e0.copy(), requires_grad=True)
+            # as v_a in a layer, x feeds the steps and a residual whose
+            # gradient arrives before the steps' contributions
+            x = T.mul(v, 1.5)
+            out = T.add(smooth(smooth(x, e, lg), e, lg), x)
+            T.backward(T.tsum(T.mul(out, T.Tensor(w))))
+            return out.data, v.grad, e.grad
+
+        fused = run(L.laplacian_smooth_step)
+        unfused_gather_backward(monkeypatch)
+        reference = run(unfused_smooth_step)
+        for a, b in zip(fused, reference):
+            assert a.tobytes() == b.tobytes()
+
+    def test_hoisted_edge_rows_give_the_same_bytes(self):
+        lg = random_graph(9, 4, seed=32, n_garment=7)
+        v, e = lg.vertex_feats, lg.mesh_edge_feats
+        rows = L.smoothing_edge_rows(e, lg)
+        assert L.laplacian_smooth_step(v, e, lg, rows).data.tobytes() == \
+            L.laplacian_smooth_step(v, e, lg).data.tobytes()
+
+    def test_gradient_matches_fd(self):
+        lg = random_graph(8, 3, seed=33, n_garment=6)
+        rng = np.random.default_rng(34)
+        params = T.ModelParams()
+        params.add("v", rng.standard_normal((8, 3)))
+        params.add("e", rng.standard_normal((len(lg.mesh_edges), 3)))
+        w = T.Tensor(rng.standard_normal((8, 3)))
+
+        def f():
+            out = L.laplacian_smooth_step(params["v"], params["e"], lg)
+            out = L.laplacian_smooth_step(out, params["e"], lg)
+            return T.tsum(T.mul(T.mul(out, out), w))
+
+        assert max(T.grad_check(f, params).values()) <= 1e-6
+
+    def test_one_tape_node_per_step(self):
+        lg = random_graph(8, 3, seed=35, n_garment=6)
+        v = T.Tensor(lg.vertex_feats.data, requires_grad=True)
+        out = L.laplacian_smooth_step(v, lg.mesh_edge_feats, lg)
+        assert out._prev == (v, lg.mesh_edge_feats, v)
+
+    def test_layers_reuse_the_graph_plan(self):
+        lg = random_graph(7, 4, seed=36, n_garment=5)
+        params = layer_params(4, seed=36)
+        out = L.lsdmp_layer(lg, params, "lsdmp.layer0", 2)
+        assert out.plan is lg.plan and out.world_plan is lg.world_plan
+        with pytest.raises(ValueError, match="plan"):
+            L.LatentGraph(lg.vertex_feats, lg.mesh_edge_feats, lg.world_edge_feats,
+                          lg.mesh_edges.copy(), lg.world_edges, lg.n_garment,
+                          lg.n_garment_edges, plan=lg.plan)

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,8 +149,7 @@ class TestStep:
         normals = np.concatenate(
             [M.vertex_normals(state.x_g, scene.garment.mesh.triangles),
              M.vertex_normals(state.x_b, scene.body.template.triangles)])
-        lg = L.encode(params, pos, vel, scene.rest_positions, normals, n_g,
-                      scene.mesh_edges, scene.n_garment_edges, wc)
+        lg = L.encode(params, pos, vel, scene.rest_positions, normals, scene.plan, wc)
         v_s = L.lsdmp_forward(lg, params, cfg.model.lsdmp_layers,
                               cfg.model.smoothing_steps).vertex_feats
         v_l = G.gsa_forward(lg.vertex_feats, n_g, scene.embedding, params,
@@ -312,3 +316,90 @@ class TestRolloutAbort:
         with np.errstate(all="ignore"):  # inf arithmetic is the point here
             with pytest.raises(RolloutError, match="frame 0"):
                 S.rollout(state, params, 3, scene)
+
+
+ROLLOUT_SCRIPT = """
+import sys
+import numpy as np
+from eslrsim import config, mesh, sim
+cfg = config.RunConfig()
+rng = np.random.default_rng(5)
+garment_mesh = mesh.grid_cloth(20, 20)
+emb = rng.standard_normal((garment_mesh.n_vertices, cfg.geodesic.embed_dim))
+garment = sim.garment_assets_from_mesh(garment_mesh, cfg, emb)
+scene = sim.build_scene(garment, sim.make_body_motion("swinging_capsule", cfg), cfg)
+params = sim.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=5)
+for name, t in params.items():
+    if not np.any(t.data) and (name.endswith(".w2") or name.endswith(".wo")):
+        t.data = 0.01 * rng.standard_normal(t.data.shape)
+state = sim.initial_state(garment, scene.body, cfg)
+sim.rollout(state, params, 3, scene, out_dir=sys.argv[1])
+"""
+
+
+class TestRolloutBytes:
+    """A 3-frame rollout of a 20x20 grid against swinging_capsule at the default
+    depth writes the bytes the unfused smoothing, bincount scatter and separate
+    matmul/bias ops wrote (numpy's bundled OpenBLAS 0.3.31, one thread, so
+    each run is a subprocess with one BLAS thread)."""
+
+    DIGESTS = {
+        "frame_00000.obj": "80039a70353d0f35e4e0c42bae59e7def0fa3cf76e9e24306b15a1bf568f1cef",
+        "frame_00001.obj": "a380c97e0b8cd58ef6e7fa2996bbb3f81b3185836a18095aafd5986103426ef5",
+        "frame_00002.obj": "1196da8da871477f85ed713ad84b2100cb8fabc9fe702e49ea5f3721397b8dae",
+        "metrics.jsonl": "e9c65981b13940a20504286fd73135024a6aa11a1591cc2f00810078048ae70b",
+    }
+
+    def test_frames_match_recorded_digests(self, tmp_path):
+        src = str(Path(S.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", ROLLOUT_SCRIPT, str(tmp_path)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.DIGESTS}
+        assert digests == self.DIGESTS
+
+
+class TestFrameCaches:
+    # the capsule's inward normals make the placement read as penetration
+    @pytest.mark.filterwarnings("ignore:initial placement penetrates")
+    def test_world_edges_built_once_per_frame(self, monkeypatch):
+        scene, cfg = small_scene(preset="swinging_capsule")
+        params = S.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=1)
+        unzero_output_layers(params)
+        state = S.initial_state(scene.garment, scene.body, cfg)
+        reference = S.rollout(state, params, 4, scene)
+        calls = {"world": 0, "normals": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(S, "build_world_edges",
+                            counted("world", S.build_world_edges))
+        monkeypatch.setattr(S, "vertex_normals", counted("normals", S.vertex_normals))
+        assert S.rollout(state, params, 4, scene) == reference
+        # the first frame builds the initial state's set; every frame builds
+        # its prediction's set once and the next frame reuses it
+        assert calls["world"] == 4 + 1
+        # per frame: the garment's normals and the predicted body's normals
+        assert calls["normals"] == 2 * 4 + 2
+
+    def test_assigning_positions_drops_cached_values(self):
+        scene, cfg = small_scene()
+        params = S.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=1)
+        state = S.initial_state(scene.garment, scene.body, cfg)
+        with T.no_grad():
+            out = S.step(state, params, scene)
+            S.step_loss(state, out, scene)
+        nxt = out.next_state
+        assert nxt.world is not None and nxt.body_normals is not None
+        nxt.x_g = nxt.x_g + 1.0
+        assert nxt.world is None and nxt.body_normals is not None
+        nxt.x_b = nxt.x_b + 1.0
+        assert nxt.body_normals is None

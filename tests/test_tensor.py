@@ -349,3 +349,134 @@ def test_segment_sum_fd_property(ids, seed):
     T.backward(T.tsum(T.mul(T.segment_sum(vt, ids, 4), T.Tensor(w))))
     ref = w[np.asarray(ids)]
     assert np.allclose(vt.grad, ref, rtol=1e-12, atol=1e-12)
+
+
+def bincount_rows(values, ids, n):
+    """Reference scatter-add: one bincount per column, which adds each
+    segment's rows in ascending row order onto 0.0."""
+    if values.ndim == 1:
+        return np.bincount(ids, weights=values, minlength=n)
+    return np.stack([np.bincount(ids, weights=values[:, c], minlength=n)
+                     for c in range(values.shape[1])], axis=1).reshape(
+                         (n,) + values.shape[1:])
+
+
+_signed_floats = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _segments(draw):
+    n = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=30))
+    shape = (len(ids),) if draw(st.booleans()) else (len(ids), draw(st.integers(1, 3)))
+    vals = draw(st.lists(_signed_floats, min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    return np.array(ids, dtype=np.intp), n, np.array(vals, dtype=np.float64).reshape(shape)
+
+
+@given(_segments())
+@settings(max_examples=200, deadline=None)
+def test_incidence_sum_equals_bincount_bitwise(case):
+    """Empty segments, repeated ids, 1-d and 2-d values and -0.0 entries all
+    give the bincount bytes."""
+    ids, n, vals = case
+    inc = T.Incidence(ids, n)
+    assert inc.sum(vals).tobytes() == bincount_rows(vals, ids, n).tobytes()
+    assert inc.sum(vals).tobytes() == inc.sum(vals).tobytes()  # reuse of the grouping
+
+
+class TestIncidence:
+    def test_signed_zeros_and_empty_segments(self):
+        ids = np.array([2, 2, 0])
+        out = T.Incidence(ids, 4).sum(np.array([-0.0, -0.0, -0.0]))
+        # bincount starts every segment at +0.0, and 0.0 + -0.0 is +0.0
+        assert np.signbit(out).tolist() == [False, False, False, False]
+
+    def test_loop_count_is_the_largest_segment(self):
+        inc = T.Incidence([3, 1, 3, 3, 0, 1], 5)
+        assert [len(rows) for rows in inc.steps] == [3, 2, 1]
+        assert inc.counts.tolist() == [1, 2, 0, 3, 0]
+
+    def test_out_of_range_ids_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            T.Incidence([0, 3], 3)
+        with pytest.raises(ValueError, match="segment_sum: segment id out of range"):
+            T.segment_sum(T.Tensor(np.ones(2)), [0, -1], 3)
+
+    def test_prebuilt_incidence_matches_ids(self):
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 5, 12)
+        vals = rng.standard_normal((12, 3))
+        inc = T.Incidence(ids, 5)
+        for op in (T.segment_sum, T.segment_mean):
+            assert op(T.Tensor(vals), inc, 5).data.tobytes() == \
+                op(T.Tensor(vals), ids, 5).data.tobytes()
+        with pytest.raises(ValueError, match="segments"):
+            T.segment_sum(T.Tensor(vals), inc, 6)
+
+    def test_gather_rows_backward_uses_the_incidence(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((5, 2))
+        ids = np.array([4, 0, 4, 4, 1])
+        w = rng.standard_normal((5, 2))
+        grads = []
+        for index in (ids, T.Incidence(ids, 5)):
+            at = T.Tensor(a.copy(), requires_grad=True)
+            out = T.gather_rows(at, index)
+            assert out.data.tobytes() == a[ids].tobytes()
+            T.backward(T.tsum(T.mul(out, T.Tensor(w))))
+            grads.append(at.grad)
+        assert grads[0].tobytes() == grads[1].tobytes() == \
+            bincount_rows(w, ids, 5).tobytes()
+
+
+class TestLinear:
+    def test_values_and_grads_equal_matmul_plus_bias_bitwise(self):
+        rng = np.random.default_rng(8)
+        x, w, b = (rng.standard_normal(s) for s in ((7, 5), (5, 3), (3,)))
+        g = rng.standard_normal((7, 3))
+        results = []
+        for fused in (True, False):
+            xt, wt, bt = (T.Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+            out = T.linear(xt, wt, bt) if fused else T.add(T.matmul(xt, wt), bt)
+            T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+            results.append([out.data, xt.grad, wt.grad, bt.grad])
+        for fused, ref in zip(*results):
+            assert fused.tobytes() == ref.tobytes()
+
+    def test_grad_matches_fd(self):
+        rng = np.random.default_rng(9)
+        params = T.ModelParams()
+        params.add("x", rng.standard_normal((4, 3)))
+        params.add("w", rng.standard_normal((3, 2)))
+        params.add("b", rng.standard_normal(2))
+        g = T.Tensor(rng.standard_normal((4, 2)))
+
+        def f():
+            out = T.linear(params["x"], params["w"], params["b"])
+            return T.tsum(T.mul(T.mul(out, out), g))
+
+        assert max(T.grad_check(f, params).values()) <= 1e-6
+
+    def test_constant_operands_get_no_gradient(self):
+        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        w, b = T.Tensor(np.ones((3, 2))), T.Tensor(np.zeros(2))
+        T.backward(T.tsum(T.linear(x, w, b)))
+        assert w.grad is None and b.grad is None
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+    def test_shape_error_names_op(self):
+        with pytest.raises(ValueError, match="linear"):
+            T.linear(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))), 0.0)
+
+    def test_mlp_records_six_tape_nodes(self):
+        params = T.ModelParams()
+        T.mlp_init(params, "m", 3, 4, 2, np.random.default_rng(0), norm=True)
+        out = T.mlp_apply(params, "m", T.Tensor(np.ones((5, 3))))
+        seen, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if node._prev and id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._prev)
+        assert len(seen) == 6  # 3 linear, 2 relu, 1 layer_norm

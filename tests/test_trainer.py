@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,3 +201,38 @@ class TestAbort:
         with pytest.raises(TrainAbortError, match="iteration 5"):
             TR.train(cfg, tmp_path / "run")
         assert (tmp_path / "run" / "checkpoint_000004.ckpt").exists()
+
+
+TRAIN_SCRIPT = """
+import shutil, sys
+from pathlib import Path
+from eslrsim import cli, config, trainer
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+garment = out / "grid10.obj"
+shutil.copy(root / "assets" / "grid10.obj", garment)
+assert cli.main(["preprocess", "--garment", str(garment)]) == 0
+cfg = config.load_config(root / "assets" / "desk_config.json")
+cfg.trainer.scenes[0].garment = str(garment)
+cfg.trainer.iterations = 10
+cfg.trainer.checkpoint_interval = 0
+trainer.train(cfg, out / "run")
+"""
+
+
+def test_desk_training_parameter_bytes_match_recorded_digest(tmp_path):
+    """Ten desk iterations (model-mode warm-up, 4 layers, s=3, 2 GSA blocks)
+    write the parameter blocks the unfused smoothing, bincount scatter and
+    separate matmul/bias ops wrote, with numpy's bundled OpenBLAS 0.3.31 on
+    one thread; each run is a subprocess with one BLAS thread."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(TR.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(root), str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    ckpt = (tmp_path / "run" / "checkpoint_final.ckpt").read_bytes()
+    blocks = ckpt.split(b"\n", 2)[2]  # after the magic and the header line
+    assert hashlib.sha256(blocks).hexdigest() == (
+        "76ae25b6d5d89a123e3182290635a41f51a741e2d830481ff278e82fd88b9935")
