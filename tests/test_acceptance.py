@@ -1,8 +1,9 @@
-"""Acceptance suite: one test per criterion, in order, each printing a
-PASS line (run with -s to see them). The desk-benchmark criteria (5 and 6)
-share one session-scoped training pass over four model variants and dominate
-the runtime (roughly half an hour on two CPU cores); everything else finishes
-in seconds.
+"""Acceptance suite: one test per criterion, each printing a PASS line (run
+with -s to see them). The desk-benchmark criteria (5 and 6) share one
+session-scoped training pass over four model variants and dominate the
+runtime (about 13 minutes on two CPU cores); everything else finishes in
+about a minute. `tests/conftest.py` runs this module after all the other
+tests, and criteria 5 and 6 last.
 """
 
 import time
