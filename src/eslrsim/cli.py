@@ -90,7 +90,7 @@ def _load_model(ckpt_path) -> tuple[T.ModelParams, RunConfig]:
 
 
 def _check_embedding_dim(scene: sim.Scene, cfg: RunConfig, garment: str) -> None:
-    k = scene.embedding.shape[1]
+    k = scene.garment.embedding.shape[1]
     if k != cfg.geodesic.embed_dim:
         raise ValidationError(
             f"garment {garment} has embedding dimension {k} but the checkpoint "
@@ -223,13 +223,9 @@ def run_bench(sizes: list[int], layer_counts: list[int], cfg: RunConfig,
             t_lsdmp = _median_time(lambda: lsdmp.lsdmp_forward(
                 lg, params, cfg.model.lsdmp_layers, cfg.model.smoothing_steps))
             t_gsa = _median_time(lambda: gsa_mod.gsa_forward(
-                lg.vertex_feats, n, embedding, params, cfg.model.gsa_blocks))
+                lg.vertex_feats, embedding, params, cfg.model.gsa_blocks))
             step_times = {}
             for n_layers in layer_counts:
-                if n_layers > cfg.model.lsdmp_layers:
-                    raise ValidationError(
-                        f"--layers {n_layers} exceeds model depth "
-                        f"{cfg.model.lsdmp_layers}")
                 scene.cfg = _with_layers(cfg, n_layers)
                 step_times[n_layers] = _median_time(
                     lambda: sim.step(state, params, scene))

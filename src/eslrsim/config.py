@@ -41,7 +41,6 @@ class ModelConfig:
     lsdmp_layers: int = _at_least(0, 15)
     smoothing_steps: int = _at_least(0, 3)
     gsa_blocks: int = _at_least(0, 4)
-    standardize_embedding: bool = False
 
 
 @dataclass

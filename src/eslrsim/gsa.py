@@ -31,13 +31,6 @@ def init_gsa_params(params: ModelParams, n_blocks: int, hidden_dim: int,
         params.add(f"{name}.norm.bias", np.zeros(h))
 
 
-def standardize_embedding(embed: np.ndarray) -> np.ndarray:
-    """Optional per-dimension standardization before injection."""
-    mean = embed.mean(axis=0, keepdims=True)
-    std = embed.std(axis=0, keepdims=True)
-    return (embed - mean) / np.where(std > 1e-12, std, 1.0)
-
-
 def _phi(x: Tensor) -> Tensor:
     """elu(x) + 1 written as relu(x) + exp(min(x, 0)).
 
@@ -95,17 +88,9 @@ def gsa_block(vertex_feats: Tensor, embed: np.ndarray, params: ModelParams,
     return T.add(vertex_feats, out)
 
 
-def gsa_forward(vertex_feats: Tensor, n_garment: int, embed: np.ndarray,
-                params: ModelParams, n_blocks: int) -> Tensor:
-    """Sequential blocks over garment rows; body rows bypass unchanged."""
-    if n_blocks < 1:
-        raise ValueError("gsa_forward needs at least one block")
-    vertex_feats = T.as_tensor(vertex_feats)
-    n_total = vertex_feats.data.shape[0]
-    garment = T.gather_rows(vertex_feats, np.arange(n_garment))
+def gsa_forward(garment_feats: Tensor, embed: np.ndarray, params: ModelParams,
+                n_blocks: int) -> Tensor:
+    """Sequential blocks over garment rows; zero blocks (the ablation) is the identity."""
     for i in range(n_blocks):
-        garment = gsa_block(garment, embed, params, f"gsa.block{i}")
-    if n_total == n_garment:
-        return garment
-    body = T.gather_rows(vertex_feats, np.arange(n_garment, n_total))
-    return T.concat([garment, body], axis=0)
+        garment_feats = gsa_block(garment_feats, embed, params, f"gsa.block{i}")
+    return garment_feats

@@ -29,6 +29,7 @@ class EdgeIncidence:
     (its backward is a scatter) and the incident-edge sum at each vertex."""
 
     def __init__(self, edges: np.ndarray, n: int):
+        self.edges = edges
         self.first = T.Incidence(edges[:, 0], n)
         self.second = T.Incidence(edges[:, 1], n)
         self.incident = T.Incidence(np.concatenate([edges[:, 0], edges[:, 1]]), n)
@@ -73,35 +74,8 @@ class LatentGraph:
     vertex_feats: Tensor  # (n_total, h); garment rows first
     mesh_edge_feats: Tensor  # (M, h); garment edge rows first
     world_edge_feats: Tensor  # (W, h)
-    mesh_edges: np.ndarray  # (M, 2) combined vertex indices
-    world_edges: np.ndarray  # (W, 2) combined indices (garment, offset body)
-    n_garment: int
-    n_garment_edges: int
-    # built from the fields above when not given; every layer reuses them
-    plan: MeshPlan | None = None
-    world_plan: EdgeIncidence | None = None
-
-    def __post_init__(self):
-        h = self.vertex_feats.data.shape[1]
-        if self.mesh_edge_feats.data.shape[1] != h or \
-                self.world_edge_feats.data.shape[1] != h:
-            raise ValueError("latent graph feature widths differ")
-        n = self.vertex_feats.data.shape[0]
-        for name, idx in (("mesh", self.mesh_edges), ("world", self.world_edges)):
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise ValueError(f"{name} edge index out of range")
-        if self.plan is None:
-            self.plan = MeshPlan(self.mesh_edges, self.n_garment, self.n_garment_edges, n)
-        elif (self.plan.mesh_edges is not self.mesh_edges or self.plan.n_total != n
-              or self.plan.n_garment != self.n_garment
-              or self.plan.n_garment_edges != self.n_garment_edges):
-            raise ValueError("mesh plan does not describe this graph")
-        if self.world_plan is None:
-            self.world_plan = EdgeIncidence(self.world_edges, n)
-
-    @property
-    def n_total(self) -> int:
-        return self.vertex_feats.data.shape[0]
+    plan: MeshPlan  # the combined mesh; every layer reuses it
+    world_plan: EdgeIncidence  # (garment, offset body) world edges
 
 
 # -- encoders ----------------------------------------------------------------
@@ -154,10 +128,6 @@ def encode(params: ModelParams, positions: np.ndarray, velocities: np.ndarray,
         vertex_feats=T.mlp_apply(params, "encoder.vertex", Tensor(vertex)),
         mesh_edge_feats=T.mlp_apply(params, "encoder.mesh_edge", Tensor(mesh_e)),
         world_edge_feats=T.mlp_apply(params, "encoder.world_edge", Tensor(world_e)),
-        mesh_edges=plan.mesh_edges,
-        world_edges=world_edges,
-        n_garment=plan.n_garment,
-        n_garment_edges=plan.n_garment_edges,
         plan=plan,
         world_plan=EdgeIncidence(world_edges, plan.n_total),
     )
@@ -206,7 +176,7 @@ def mp_vertex_update(lg: LatentGraph, mesh_e: Tensor, world_e: Tensor,
                      params: ModelParams, name: str) -> Tensor:
     """Vertex features from (vertex, mesh-edge sum, world-edge sum), with a
     residual; vertices with no incident edges of a kind get a zero sum."""
-    n = lg.n_total
+    n = lg.plan.n_total
 
     def incident_sum(inc, feats):
         return T.segment_sum(T.concat([feats, feats], axis=0), inc.incident, n)

@@ -139,10 +139,6 @@ def obj_text(vertices: np.ndarray, triangles: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_obj(mesh: Mesh) -> str:
-    return obj_text(mesh.vertices, mesh.triangles)
-
-
 def load_obj(path, kind: str = "garment") -> Mesh:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_obj(fh.read(), kind=kind)
@@ -150,7 +146,7 @@ def load_obj(path, kind: str = "garment") -> Mesh:
 
 def save_obj(path, mesh: Mesh) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_obj(mesh))
+        fh.write(obj_text(mesh.vertices, mesh.triangles))
 
 
 # -- topology and rest state -----------------------------------------------
@@ -317,7 +313,6 @@ def grid_cloth(nx: int, ny: int, size_x: float = 1.0, size_y: float = 1.0) -> Me
     return Mesh(verts, np.array(tris, dtype=np.intp), kind="garment")
 
 
-def mean_edge_length(mesh: Mesh, topo: Topology | None = None) -> float:
-    topo = topo or build_topology(mesh)
+def mean_edge_length(mesh: Mesh, topo: Topology) -> float:
     d = mesh.vertices[topo.mesh_edges[:, 0]] - mesh.vertices[topo.mesh_edges[:, 1]]
     return float(np.linalg.norm(d, axis=1).mean())

@@ -182,16 +182,14 @@ def total_loss(x_next, x_curr: np.ndarray, q_curr: np.ndarray,
                pos_b_next: np.ndarray, body_normals_next: np.ndarray,
                collision_pairs_next: np.ndarray, friction_contacts: np.ndarray,
                topo: Topology, rest: RestState, cfg: PhysicsConfig,
-               body_normals_curr: np.ndarray | None = None,
-               pos_b_curr: np.ndarray | None = None,
+               body_normals_curr: np.ndarray,
+               pos_b_curr: np.ndarray,
                diagnostics: dict | None = None) -> tuple[T.Tensor, dict[str, float]]:
     """Weighted sum of the six terms plus a per-term breakdown (raw values).
 
     `friction_contacts` must already be filtered against x_curr (see
     contact_pairs); collision pairs are the proximity set at x_next.
     """
-    normals_fric = body_normals_curr if body_normals_curr is not None else body_normals_next
-    body_fric = pos_b_curr if pos_b_curr is not None else pos_b_next
     terms = {
         "stretch": stretch_energy(x_next, topo, rest, cfg),
         "bending": bending_energy(x_next, topo, rest, cfg, diagnostics),
@@ -199,7 +197,7 @@ def total_loss(x_next, x_curr: np.ndarray, q_curr: np.ndarray,
                                        collision_pairs_next, cfg),
         "gravity": gravity_energy(x_next, rest.vertex_masses, cfg),
         "inertia": inertia_term(x_next, x_curr, q_curr, rest.vertex_masses, cfg.dt),
-        "friction": friction_term(x_next, x_curr, body_fric, normals_fric,
+        "friction": friction_term(x_next, x_curr, pos_b_curr, body_normals_curr,
                                   friction_contacts, rest.vertex_masses, cfg),
     }
     total = T.Tensor(0.0)

@@ -40,9 +40,9 @@ class SimState:
     x_b: np.ndarray  # (n_B, 3) body positions (kinematic)
     q_b: np.ndarray  # (n_B, 3) body velocities
     dt: float
-    # World edges of (x_g, x_b) and body vertex normals at x_b, kept by
-    # step_loss on the state it predicts so the next frame does not rebuild
-    # them. Assigning x_g or x_b drops them; never change those arrays in place.
+    # World edges of (x_g, x_b) and body vertex normals at x_b, built on first
+    # use by _world_edges/_body_normals and kept so no frame rebuilds them.
+    # Assigning x_g or x_b drops them; never change those arrays in place.
     world: WorldEdgeSet | None = field(default=None, repr=False, compare=False)
     body_normals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -64,7 +64,6 @@ class StepOutput:
     x_next: Tensor  # (n_G, 3)
     q_next: Tensor
     next_state: SimState
-    world_edges: WorldEdgeSet  # the set the step was computed with
 
 
 @dataclass
@@ -90,11 +89,9 @@ class Scene:
     """Everything static for a garment/body pairing, precombined for encode."""
     garment: GarmentAssets
     body: BodyMotion
-    body_topo: Topology
     plan: lsdmp.MeshPlan  # combined mesh, garment edge rows first
     rest_positions: np.ndarray  # combined garment rest + body template
     cfg: RunConfig
-    embedding: np.ndarray  # possibly standardized
 
 
 # -- body meshes and analytic motion ----------------------------------------
@@ -225,16 +222,13 @@ def build_scene(garment: GarmentAssets, body: BodyMotion, cfg: RunConfig) -> Sce
     n_g = garment.mesh.n_vertices
     combined = np.concatenate(
         [garment.topo.mesh_edges, body_topo.mesh_edges + n_g], axis=0)
-    embed = garment.embedding
-    if cfg.model.standardize_embedding:
-        embed = gsa_mod.standardize_embedding(embed)
     n_total = n_g + body.template.n_vertices
-    return Scene(garment=garment, body=body, body_topo=body_topo,
+    return Scene(garment=garment, body=body,
                  plan=lsdmp.MeshPlan(combined, n_g, len(garment.topo.mesh_edges),
                                      n_total),
                  rest_positions=np.concatenate(
                      [garment.mesh.vertices, body.template.vertices], axis=0),
-                 cfg=cfg, embedding=embed)
+                 cfg=cfg)
 
 
 def scene_from_spec(spec: SceneSpec, cfg: RunConfig) -> Scene:
@@ -278,10 +272,10 @@ def initial_state(garment: GarmentAssets, motion: BodyMotion, cfg: RunConfig,
     dt = cfg.physics.dt
     x_b, q_b = body_motion_eval(motion, t0 * dt)
     state = SimState(t=t0, x_g=x_g, q_g=np.zeros_like(x_g), x_b=x_b, q_b=q_b, dt=dt)
-    pairs = build_world_edges(x_g, x_b, garment.world_radius).pairs
+    pairs = _world_edges(state, garment.world_radius).pairs
     if len(pairs):
         dist = _nearest_body_signed_distance(
-            x_g, x_b, pairs, vertex_normals(x_b, motion.template.triangles))
+            x_g, x_b, pairs, _body_normals(state, motion.template.triangles))
         eps = cfg.physics.collision_margin
         if dist.min() < -eps:  # margin violation beyond 2 * eps
             warnings.warn(
@@ -303,8 +297,7 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     integrate. See module docstring for the exact sequence."""
     cfg = scene.cfg
     n_g = scene.garment.mesh.n_vertices
-    world = _world_edges(state, scene)
-    world_combined = world.pairs.copy()
+    world_combined = _world_edges(state, scene.garment.world_radius).pairs.copy()
     if len(world_combined):
         world_combined[:, 1] += n_g
 
@@ -312,20 +305,17 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     velocities = np.concatenate([state.q_g, state.q_b], axis=0)
     normals = np.concatenate(
         [vertex_normals(state.x_g, scene.garment.mesh.triangles),
-         _body_normals(state, scene)], axis=0)
+         _body_normals(state, scene.body.template.triangles)], axis=0)
 
     lg = lsdmp.encode(params, positions, velocities, scene.rest_positions,
                       normals, scene.plan, world_combined)
     v_short = lsdmp.lsdmp_forward(lg, params, cfg.model.lsdmp_layers,
                                   cfg.model.smoothing_steps).vertex_feats
-    if cfg.model.gsa_blocks > 0:
-        v_long = gsa_mod.gsa_forward(lg.vertex_feats, n_g, scene.embedding,
-                                     params, cfg.model.gsa_blocks)
-    else:  # ablation: long-range branch disabled, short-range latents reused
-        v_long = lg.vertex_feats
     garment_rows = np.arange(n_g)
-    fused_in = T.concat([T.gather_rows(v_short, garment_rows),
-                         T.gather_rows(v_long, garment_rows)], axis=-1)
+    v_long = gsa_mod.gsa_forward(T.gather_rows(lg.vertex_feats, garment_rows),
+                                 scene.garment.embedding, params,
+                                 cfg.model.gsa_blocks)
+    fused_in = T.concat([T.gather_rows(v_short, garment_rows), v_long], axis=-1)
     assert fused_in.data.shape[1] == 2 * cfg.model.hidden_dim
     v_prime = T.mlp_apply(params, "fusion", fused_in)
     accel = T.mul(T.mlp_apply(params, "decoder", v_prime),
@@ -339,7 +329,7 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     next_state = SimState(t=t1, x_g=x_next.data.copy(), q_g=q_next.data.copy(),
                           x_b=x_b_next, q_b=q_b_next, dt=dt)
     return StepOutput(accel=accel, x_next=x_next, q_next=q_next,
-                      next_state=next_state, world_edges=world)
+                      next_state=next_state)
 
 
 def step_loss(state: SimState, out: StepOutput, scene: Scene,
@@ -348,37 +338,35 @@ def step_loss(state: SimState, out: StepOutput, scene: Scene,
 
     Collision pairs come from the predicted positions against the advanced
     body; the friction contact set is fixed at the pre-step state so no
-    gradient flows through set membership. The predicted state keeps its
-    world edges and body normals for the next frame.
+    gradient flows through set membership. Both states keep their world edges
+    and body normals, so the next frame and the penetration metric reuse them.
     """
     cfg = scene.cfg.physics
     garment = scene.garment
+    radius, triangles = garment.world_radius, scene.body.template.triangles
     nxt = out.next_state
-    nxt.world = _world_edges(nxt, scene)
-    nxt.body_normals = normals_next = _body_normals(nxt, scene)
-    normals_curr = _body_normals(state, scene)
-    collision = nxt.world.pairs
-    contacts = phys.contact_pairs(out.world_edges.pairs, state.x_g, state.x_b,
-                                  normals_curr, cfg)
+    normals_curr = _body_normals(state, triangles)
+    contacts = phys.contact_pairs(_world_edges(state, radius).pairs, state.x_g,
+                                  state.x_b, normals_curr, cfg)
     return phys.total_loss(
-        out.x_next, state.x_g, state.q_g, nxt.x_b, normals_next, collision,
-        contacts, garment.topo, garment.rest, cfg,
+        out.x_next, state.x_g, state.q_g, nxt.x_b, _body_normals(nxt, triangles),
+        _world_edges(nxt, radius).pairs, contacts, garment.topo, garment.rest, cfg,
         body_normals_curr=normals_curr, pos_b_curr=state.x_b,
         diagnostics=diagnostics)
 
 
-def _world_edges(state: SimState, scene: Scene) -> WorldEdgeSet:
-    """The state's world edges: those step_loss kept on it, else built."""
-    if state.world is not None:
-        return state.world
-    return build_world_edges(state.x_g, state.x_b, scene.garment.world_radius)
+def _world_edges(state: SimState, radius: float) -> WorldEdgeSet:
+    """The state's world edges, built on first use and kept on the state."""
+    if state.world is None:
+        state.world = build_world_edges(state.x_g, state.x_b, radius)
+    return state.world
 
 
-def _body_normals(state: SimState, scene: Scene) -> np.ndarray:
-    """The body's vertex normals at the state: those step_loss kept, else made."""
-    if state.body_normals is not None:
-        return state.body_normals
-    return vertex_normals(state.x_b, scene.body.template.triangles)
+def _body_normals(state: SimState, triangles: np.ndarray) -> np.ndarray:
+    """The body's vertex normals at the state, made on first use and kept."""
+    if state.body_normals is None:
+        state.body_normals = vertex_normals(state.x_b, triangles)
+    return state.body_normals
 
 
 def _nearest_body_signed_distance(x_g: np.ndarray, x_b: np.ndarray,
@@ -389,23 +377,20 @@ def _nearest_body_signed_distance(x_g: np.ndarray, x_b: np.ndarray,
     `pairs`, at least one). Using only the nearest pair keeps far-side
     vertices (normals facing away) from reading as penetration."""
     d2 = ((x_g[pairs[:, 0]] - x_b[pairs[:, 1]]) ** 2).sum(axis=1)
-    nearest: dict[int, int] = {}
-    for row, (g, _) in enumerate(pairs):
-        if g not in nearest or d2[row] < d2[nearest[g]]:
-            nearest[int(g)] = row
-    rows = np.array(sorted(nearest.values()), dtype=np.intp)
-    sel = pairs[rows]
+    order = np.lexsort((d2, pairs[:, 0]))  # stable: a tie keeps the lower row
+    _, first = np.unique(pairs[order, 0], return_index=True)
+    sel = pairs[np.sort(order[first])]
     return ((x_g[sel[:, 0]] - x_b[sel[:, 1]]) * normals[sel[:, 1]]).sum(axis=1)
 
 
 def max_penetration_depth(state: SimState, scene: Scene) -> float:
     """Worst margin violation against the nearest body vertex; values above the
     margin mean the surface itself is pierced."""
-    pairs = _world_edges(state, scene).pairs
+    pairs = _world_edges(state, scene.garment.world_radius).pairs
     if not len(pairs):
         return 0.0
-    dist = _nearest_body_signed_distance(state.x_g, state.x_b, pairs,
-                                         _body_normals(state, scene))
+    normals = _body_normals(state, scene.body.template.triangles)
+    dist = _nearest_body_signed_distance(state.x_g, state.x_b, pairs, normals)
     return float(max(0.0, (scene.cfg.physics.collision_margin - dist).max()))
 
 

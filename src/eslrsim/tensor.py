@@ -30,14 +30,6 @@ CHECKPOINT_MAGIC = b"ESLR-CKPT1\n"
 # Toggled by no_grad(); when False, ops do not record parents or closures.
 _GRAD_ENABLED = True
 
-# When True, every op output is checked for NaN/Inf (debug assertion).
-_CHECK_FINITE = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
-
 
 class no_grad:
     """Context manager: ops inside build no tape."""
@@ -135,8 +127,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], op_name: str,
           vjp: Callable) -> Tensor:
-    if _CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values produced by op '{op_name}'")
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True

@@ -24,14 +24,6 @@ from .tensor import ModelParams
 
 
 @dataclass
-class AdamHyper:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -39,10 +31,10 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
-              state: AdamState, hyper: AdamHyper) -> AdamState:
+              state: AdamState, tcfg: TrainerConfig) -> AdamState:
     """Standard Adam with bias correction; mutates params and state in place."""
     state.t += 1
-    b1, b2 = hyper.beta1, hyper.beta2
+    b1, b2 = tcfg.beta1, tcfg.beta2
     c1 = 1 - b1 ** state.t
     c2 = 1 - b2 ** state.t
     for name, p in params.items():
@@ -56,7 +48,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        p.data = p.data - hyper.learning_rate * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
+        p.data = p.data - tcfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + tcfg.adam_eps)
     return state
 
 
@@ -122,7 +114,7 @@ def train(cfg: RunConfig, out_dir, scenes: list[sim.Scene] | None = None,
         scenes = [sim.scene_from_spec(spec, cfg) for spec in tcfg.scenes]
     if not scenes:
         raise ValidationError("trainer needs at least one scene")
-    embed_dims = {s.embedding.shape[1] for s in scenes}
+    embed_dims = {s.garment.embedding.shape[1] for s in scenes}
     if len(embed_dims) != 1:
         raise ValidationError(
             f"all garments must share one embedding dimension, got {sorted(embed_dims)}")
@@ -134,8 +126,6 @@ def train(cfg: RunConfig, out_dir, scenes: list[sim.Scene] | None = None,
             f"with --embed-dim {cfg.geodesic.embed_dim} or fix the config")
 
     params = sim.build_model_params(cfg.model, embed_dim, seed=tcfg.seed)
-    hyper = AdamHyper(learning_rate=tcfg.learning_rate, beta1=tcfg.beta1,
-                      beta2=tcfg.beta2, eps=tcfg.adam_eps)
     adam = AdamState()
     rng = np.random.default_rng(tcfg.seed)
     cfg_dict = config_to_dict(cfg)
@@ -159,7 +149,7 @@ def train(cfg: RunConfig, out_dir, scenes: list[sim.Scene] | None = None,
                     it, f"non-finite loss (last checkpoint kept in {out_dir})")
             params.zero_grad()
             T.backward(loss)
-            adam_step(params, params.grads(), adam, hyper)
+            adam_step(params, params.grads(), adam, tcfg)
             del out, loss  # free this iteration's tape before the next warm-up
             totals[it - 1] = breakdown["total"]
             record = {"iteration": it, **breakdown,

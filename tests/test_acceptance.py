@@ -70,14 +70,16 @@ def perturbation_spread(n_layers):
     for i in range(n_layers):
         L.init_layer_params(params, f"lsdmp.layer{i}", h, rng)
     edges = np.array([[i, i + 1] for i in range(n - 1)], dtype=np.intp)
+    # the graph plan is fixed; only the vertex features change between runs
+    plan = L.MeshPlan(edges, n, n - 1, n)
+    world_plan = L.EdgeIncidence(np.zeros((0, 2), dtype=np.intp), n)
 
     def forward(feats):
         lg = L.LatentGraph(
             vertex_feats=T.Tensor(feats),
             mesh_edge_feats=T.Tensor(base_edges.copy()),
             world_edge_feats=T.Tensor(np.zeros((0, h))),
-            mesh_edges=edges, world_edges=np.zeros((0, 2), dtype=np.intp),
-            n_garment=n, n_garment_edges=n - 1)
+            plan=plan, world_plan=world_plan)
         return L.lsdmp_forward(lg, params, n_layers, 3).vertex_feats.data
 
     base_feats = rng.standard_normal((n, h))

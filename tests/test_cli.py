@@ -123,7 +123,8 @@ class TestTrainCli:
         ({"trainer": {"scenes": 5}}, "trainer.scenes"),
         ({"trainer": {"scenes": [{"garment": 5}]}}, "trainer.scenes[0].garment"),
         ({"model": {"hidden_dim": True}}, "model.hidden_dim"),
-        ({"model": {"standardize_embedding": 1}}, "model.standardize_embedding"),
+        # a removed key, as echoed by configs and checkpoints from before
+        ({"model": {"standardize_embedding": False}}, "standardize_embedding"),
         ({"sim": {"sphere_radius": "0.3"}}, "sim.sphere_radius"),
         ({"physics": {"weights": {"stretch": "1"}}}, "physics.weights.stretch"),
     ])

@@ -133,19 +133,18 @@ class TestForward:
         rng = np.random.default_rng(11)
         feats = rng.standard_normal((5, h))
         embed = rng.standard_normal((5, k))
-        a = G.gsa_forward(T.Tensor(feats), 5, embed, params, 1).data
+        a = G.gsa_forward(T.Tensor(feats), embed, params, 1).data
         b = G.gsa_block(T.Tensor(feats), embed, params, "gsa.block0").data
         assert np.array_equal(a, b)
 
-    def test_body_rows_bypass_unchanged(self):
+    def test_zero_blocks_is_identity(self):
+        # the ablation without the long-range branch passes its input through
         h, k = 4, 2
-        params = make_params(2, h, k, seed=12)
+        params = make_params(0, h, k, seed=12)
         rng = np.random.default_rng(13)
-        feats = rng.standard_normal((9, h))
+        feats = T.Tensor(rng.standard_normal((6, h)))
         embed = rng.standard_normal((6, k))
-        out = G.gsa_forward(T.Tensor(feats), 6, embed, params, 2).data
-        assert np.array_equal(out[6:], feats[6:])
-        assert not np.array_equal(out[:6], feats[:6])
+        assert G.gsa_forward(feats, embed, params, 0) is feats
 
     def test_default_depth_runs_finite_on_500_vertices(self):
         h, k = 16, 8
@@ -154,7 +153,7 @@ class TestForward:
         feats = rng.standard_normal((500, h))
         embed = rng.standard_normal((500, k))
         with T.no_grad():
-            out = G.gsa_forward(T.Tensor(feats), 500, embed, params, 4)
+            out = G.gsa_forward(T.Tensor(feats), embed, params, 4)
         assert np.all(np.isfinite(out.data))
 
     def test_geodesic_sensitivity_and_k0_invariance(self):
@@ -164,21 +163,14 @@ class TestForward:
         # swapping two embedding rows changes the output when k > 0
         params = make_params(1, h, 3, seed=17)
         embed = rng.standard_normal((7, 3))
-        base = G.gsa_forward(T.Tensor(feats), 7, embed, params, 1).data
+        base = G.gsa_forward(T.Tensor(feats), embed, params, 1).data
         swapped = embed.copy()
         swapped[[1, 4]] = swapped[[4, 1]]
-        other = G.gsa_forward(T.Tensor(feats), 7, swapped, params, 1).data
+        other = G.gsa_forward(T.Tensor(feats), swapped, params, 1).data
         assert np.abs(base - other).max() > 0.0
         # with k = 0 the embedding cannot matter
         params0 = make_params(1, h, 0, seed=18)
         e0 = np.zeros((7, 0))
-        a = G.gsa_forward(T.Tensor(feats), 7, e0, params0, 1).data
-        b = G.gsa_forward(T.Tensor(feats), 7, e0, params0, 1).data
+        a = G.gsa_forward(T.Tensor(feats), e0, params0, 1).data
+        b = G.gsa_forward(T.Tensor(feats), e0, params0, 1).data
         assert np.array_equal(a, b)
-
-    def test_standardize_embedding(self):
-        rng = np.random.default_rng(19)
-        e = rng.standard_normal((50, 4)) * 7 + 3
-        s = G.standardize_embedding(e)
-        assert np.allclose(s.mean(axis=0), 0, atol=1e-12)
-        assert np.allclose(s.std(axis=0), 1, atol=1e-12)

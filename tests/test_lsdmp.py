@@ -1,15 +1,28 @@
 import numpy as np
-import pytest
 
 from eslrsim import lsdmp as L
 from eslrsim import tensor as T
+
+
+def latent_graph(vertex_feats, mesh_edge_feats, world_edge_feats, mesh_edges,
+                 world_edges, n_garment, n_garment_edges):
+    """LatentGraph with its MeshPlan and world-edge incidences built here, as
+    sim.build_scene and lsdmp.encode build them."""
+    n = vertex_feats.data.shape[0]
+    return L.LatentGraph(
+        vertex_feats=vertex_feats,
+        mesh_edge_feats=mesh_edge_feats,
+        world_edge_feats=world_edge_feats,
+        plan=L.MeshPlan(mesh_edges, n_garment, n_garment_edges, n),
+        world_plan=L.EdgeIncidence(world_edges, n),
+    )
 
 
 def path_graph(n, h, seed=0, n_garment=None):
     """LatentGraph over a path 0-1-...-(n-1) with random latent features."""
     rng = np.random.default_rng(seed)
     edges = np.array([[i, i + 1] for i in range(n - 1)], dtype=np.intp)
-    return L.LatentGraph(
+    return latent_graph(
         vertex_feats=T.Tensor(rng.standard_normal((n, h))),
         mesh_edge_feats=T.Tensor(rng.standard_normal((n - 1, h))),
         world_edge_feats=T.Tensor(np.zeros((0, h))),
@@ -39,7 +52,7 @@ def random_graph(n, h, seed=0, n_world=4, n_garment=None):
         b = int(rng.integers(n_garment, n)) if n_garment < n else g
         world.append((g, b))
     world = np.array(sorted(set(world)), dtype=np.intp).reshape(-1, 2)
-    return L.LatentGraph(
+    return latent_graph(
         vertex_feats=T.Tensor(rng.standard_normal((n, h))),
         mesh_edge_feats=T.Tensor(rng.standard_normal((len(edges), h))),
         world_edge_feats=T.Tensor(rng.standard_normal((len(world), h))),
@@ -157,7 +170,7 @@ class TestMessagePassing:
         lg = random_graph(7, h, seed=5, n_garment=5)
         params = layer_params(h, seed=5)
         mesh_e, world_e = L.mp_edge_update(lg, params, "lsdmp.layer0")
-        for r, (a, b) in enumerate(lg.mesh_edges):
+        for r, (a, b) in enumerate(lg.plan.mesh_edges):
             inp = np.concatenate([lg.mesh_edge_feats.data[r],
                                   lg.vertex_feats.data[a],
                                   lg.vertex_feats.data[b]])[None, :]
@@ -171,14 +184,14 @@ class TestMessagePassing:
         params = layer_params(h, seed=6)
         mesh_e, world_e = L.mp_edge_update(lg, params, "lsdmp.layer0")
         v_a = L.mp_vertex_update(lg, mesh_e, world_e, params, "lsdmp.layer0")
-        n = lg.n_total
+        n = lg.plan.n_total
         for i in range(n):
             ms = np.zeros(h)
-            for r, (a, b) in enumerate(lg.mesh_edges):
+            for r, (a, b) in enumerate(lg.plan.mesh_edges):
                 if i in (a, b):
                     ms += mesh_e.data[r]
             ws = np.zeros(h)
-            for r, (a, b) in enumerate(lg.world_edges):
+            for r, (a, b) in enumerate(lg.world_plan.edges):
                 if i in (a, b):
                     ws += world_e.data[r]
             inp = np.concatenate([lg.vertex_feats.data[i], ms, ws])[None, :]
@@ -189,7 +202,7 @@ class TestMessagePassing:
     def test_isolated_vertex_empty_sum_convention(self):
         h = 3
         rng = np.random.default_rng(7)
-        lg = L.LatentGraph(
+        lg = latent_graph(
             vertex_feats=T.Tensor(rng.standard_normal((1, h))),
             mesh_edge_feats=T.Tensor(np.zeros((0, h))),
             world_edge_feats=T.Tensor(np.zeros((0, h))),
@@ -227,8 +240,8 @@ class TestSmoothing:
         v = lg.vertex_feats
         e = lg.mesh_edge_feats
         out = L.laplacian_smooth_step(v, e, lg)
-        ge = lg.mesh_edges[:lg.n_garment_edges]
-        for i in range(lg.n_total):
+        ge = lg.plan.mesh_edges[:lg.plan.n_garment_edges]
+        for i in range(lg.plan.n_total):
             acc = np.zeros(h)
             count = 0
             for r, (a, b) in enumerate(ge):
@@ -238,7 +251,7 @@ class TestSmoothing:
                 elif b == i:
                     acc += v.data[a] + e.data[r]
                     count += 1
-            if i >= lg.n_garment or count == 0:
+            if i >= lg.plan.n_garment or count == 0:
                 expected = v.data[i]
             else:
                 expected = acc / count
@@ -254,8 +267,9 @@ class TestSmoothing:
         h = 4
         lg = random_graph(9, h, seed=12, n_garment=7)
         rng = np.random.default_rng(13)
-        v1, e1 = rng.standard_normal((9, h)), rng.standard_normal((len(lg.mesh_edges), h))
-        v2, e2 = rng.standard_normal((9, h)), rng.standard_normal((len(lg.mesh_edges), h))
+        m = len(lg.plan.mesh_edges)
+        v1, e1 = rng.standard_normal((9, h)), rng.standard_normal((m, h))
+        v2, e2 = rng.standard_normal((9, h)), rng.standard_normal((m, h))
 
         def f(v, e):
             return L.laplacian_smooth_step(T.Tensor(v), T.Tensor(e), lg).data
@@ -307,12 +321,12 @@ def influence_radius(n, h, n_layers, s, seed=17, perturb_vertex=0):
     base = L.lsdmp_forward(lg, params, n_layers, s).vertex_feats.data
     feats = lg.vertex_feats.data.copy()
     feats[perturb_vertex] += 1.0
-    lg2 = L.LatentGraph(
+    lg2 = latent_graph(
         vertex_feats=T.Tensor(feats),
         mesh_edge_feats=T.Tensor(lg.mesh_edge_feats.data.copy()),
         world_edge_feats=T.Tensor(np.zeros((0, h))),
-        mesh_edges=lg.mesh_edges, world_edges=lg.world_edges,
-        n_garment=lg.n_garment, n_garment_edges=lg.n_garment_edges)
+        mesh_edges=lg.plan.mesh_edges, world_edges=lg.world_plan.edges,
+        n_garment=lg.plan.n_garment, n_garment_edges=lg.plan.n_garment_edges)
     other = L.lsdmp_forward(lg2, params, n_layers, s).vertex_feats.data
     return np.abs(base - other).max(axis=1)
 
@@ -366,13 +380,13 @@ class TestPermutationEquivariance:
         perm[7:] = 7 + rng.permutation(2)
         inv = np.argsort(perm)
         feats = lg.vertex_feats.data[inv]
-        lg2 = L.LatentGraph(
+        lg2 = latent_graph(
             vertex_feats=T.Tensor(feats),
             mesh_edge_feats=T.Tensor(lg.mesh_edge_feats.data.copy()),
             world_edge_feats=T.Tensor(lg.world_edge_feats.data.copy()),
-            mesh_edges=perm[lg.mesh_edges],  # same row order, relabeled endpoints
-            world_edges=perm[lg.world_edges],
-            n_garment=lg.n_garment, n_garment_edges=lg.n_garment_edges)
+            mesh_edges=perm[lg.plan.mesh_edges],  # same row order, relabeled endpoints
+            world_edges=perm[lg.world_plan.edges],
+            n_garment=lg.plan.n_garment, n_garment_edges=lg.plan.n_garment_edges)
         out2 = L.lsdmp_layer(lg2, params, "lsdmp.layer0", 2).vertex_feats.data
         assert out2.tobytes() == out[inv].tobytes()
 
@@ -386,8 +400,8 @@ def scatter_rows(values, ids, n):
 def unfused_smooth_step(v, e, lg):
     """The smoothing step as separate tape ops: gather both message halves, add,
     segment mean over destinations, then blend with the mask."""
-    ge = lg.mesh_edges[:lg.n_garment_edges]
-    n = lg.n_total
+    ge = lg.plan.mesh_edges[:lg.plan.n_garment_edges]
+    n = lg.plan.n_total
     src = np.concatenate([ge[:, 1], ge[:, 0]])
     dst = np.concatenate([ge[:, 0], ge[:, 1]])
     eidx = np.tile(np.arange(len(ge)), 2)
@@ -397,7 +411,7 @@ def unfused_smooth_step(v, e, lg):
     mean = T.Tensor(scatter_rows(msg.data, dst, n) / denom)
     if msg.requires_grad:  # segment_mean with the bincount scatter
         mean = T._node(mean.data, (msg,), "segment_mean", lambda g: ((g / denom)[dst],))
-    active = (counts > 0) & (np.arange(n) < lg.n_garment)
+    active = (counts > 0) & (np.arange(n) < lg.plan.n_garment)
     mask = active.astype(np.float64)[:, None]
     return T.add(T.mul(mean, T.Tensor(mask)), T.mul(v, T.Tensor(1.0 - mask)))
 
@@ -419,7 +433,7 @@ class TestFusedSmoothing:
         rng = np.random.default_rng(31)
         v0 = rng.standard_normal((11, h))
         v0[3] = -0.0  # signed zeros pass through as in the unfused ops
-        e0 = rng.standard_normal((len(lg.mesh_edges), h))
+        e0 = rng.standard_normal((len(lg.plan.mesh_edges), h))
         w = rng.standard_normal((11, h))
 
         def run(smooth):
@@ -450,7 +464,7 @@ class TestFusedSmoothing:
         rng = np.random.default_rng(34)
         params = T.ModelParams()
         params.add("v", rng.standard_normal((8, 3)))
-        params.add("e", rng.standard_normal((len(lg.mesh_edges), 3)))
+        params.add("e", rng.standard_normal((len(lg.plan.mesh_edges), 3)))
         w = T.Tensor(rng.standard_normal((8, 3)))
 
         def f():
@@ -471,7 +485,3 @@ class TestFusedSmoothing:
         params = layer_params(4, seed=36)
         out = L.lsdmp_layer(lg, params, "lsdmp.layer0", 2)
         assert out.plan is lg.plan and out.world_plan is lg.world_plan
-        with pytest.raises(ValueError, match="plan"):
-            L.LatentGraph(lg.vertex_feats, lg.mesh_edge_feats, lg.world_edge_feats,
-                          lg.mesh_edges.copy(), lg.world_edges, lg.n_garment,
-                          lg.n_garment_edges, plan=lg.plan)

@@ -46,7 +46,7 @@ class TestParseObj:
         rng = np.random.default_rng(0)
         m = M.grid_cloth(4, 5)
         m.vertices += rng.standard_normal(m.vertices.shape) * 0.01
-        m2 = M.parse_obj(M.serialize_obj(m))
+        m2 = M.parse_obj(M.obj_text(m.vertices, m.triangles))
         assert np.array_equal(m.vertices, m2.vertices)
         assert np.array_equal(m.triangles, m2.triangles)
 

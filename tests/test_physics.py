@@ -278,6 +278,8 @@ class TestRigidTranslation:
 
 class TestTotalLoss:
     def make_inputs(self, seed=8):
+        """total_loss arguments; the body is static, so its current normals
+        and positions are the next frame's."""
         m, topo, rest, pos = cloth_scene(seed)
         rng = np.random.default_rng(seed + 100)
         body = rng.standard_normal((30, 3)) * 0.3
@@ -291,18 +293,19 @@ class TestTotalLoss:
         contacts = P.contact_pairs(
             M.build_world_edges(x_curr, body, 0.25).pairs, x_curr, body,
             normals, cfg)
-        return (x_next, x_curr, q, body, normals, pairs, contacts, topo, rest, cfg)
+        return (x_next, x_curr, q, body, normals, pairs, contacts, topo, rest, cfg,
+                normals, body)
 
     def test_all_weights_zero(self):
         args = self.make_inputs()
-        cfg = args[-1]
+        cfg = args[9]
         cfg.weights = {k: 0.0 for k in cfg.weights}
         total, breakdown = P.total_loss(*args)
         assert float(total.data) == 0.0
 
     def test_single_term_weight(self):
         args = self.make_inputs()
-        cfg = args[-1]
+        cfg = args[9]
         cfg.weights = {k: 0.0 for k in cfg.weights}
         cfg.weights["stretch"] = 1.0
         total, breakdown = P.total_loss(*args)
@@ -311,16 +314,16 @@ class TestTotalLoss:
     def test_weighted_sum_matches_individual_terms(self):
         args = self.make_inputs()
         total, breakdown = P.total_loss(*args)
-        cfg = args[-1]
+        cfg = args[9]
         expected = sum(cfg.weights[k] * breakdown[k] for k in cfg.weights)
         assert abs(float(total.data) - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_full_loss_position_gradient(self):
         (x_next, x_curr, q, body, normals, pairs, contacts,
-         topo, rest, cfg) = self.make_inputs(9)
+         topo, rest, cfg, _, _) = self.make_inputs(9)
 
         def f(p):
             return P.total_loss(p, x_curr, q, body, normals, pairs, contacts,
-                                topo, rest, cfg)[0]
+                                topo, rest, cfg, normals, body)[0]
 
         position_grad_check(f, x_next, h=1e-7, rel_tol=1e-4)

@@ -109,6 +109,68 @@ class TestInitialState:
         with pytest.warns(UserWarning, match="penetrates"):
             S.initial_state(scene.garment, motion, cfg)
 
+    def test_keeps_the_contact_geometry_of_its_placement_check(self):
+        scene, cfg = small_scene()
+        state = S.initial_state(scene.garment, scene.body, cfg)
+        fresh = M.build_world_edges(state.x_g, state.x_b, scene.garment.world_radius)
+        assert len(fresh.pairs)  # the placement check ran
+        assert state.world is not None and state.body_normals is not None
+        assert np.array_equal(state.world.pairs, fresh.pairs)
+        assert state.world.radius == fresh.radius
+        assert state.body_normals.tobytes() == M.vertex_normals(
+            state.x_b, scene.body.template.triangles).tobytes()
+
+
+def nearest_signed_distance_loop(x_g, x_b, pairs, normals):
+    """The per-pair dict loop the vectorised nearest-pair search replaced."""
+    d2 = ((x_g[pairs[:, 0]] - x_b[pairs[:, 1]]) ** 2).sum(axis=1)
+    nearest = {}
+    for row, (g, _) in enumerate(pairs):
+        if g not in nearest or d2[row] < d2[nearest[g]]:
+            nearest[int(g)] = row
+    rows = np.array(sorted(nearest.values()), dtype=np.intp)
+    sel = pairs[rows]
+    return ((x_g[sel[:, 0]] - x_b[sel[:, 1]]) * normals[sel[:, 1]]).sum(axis=1)
+
+
+class TestNearestBodySignedDistance:
+    def check(self, x_g, x_b, pairs, normals):
+        got = S._nearest_body_signed_distance(x_g, x_b, pairs, normals)
+        want = nearest_signed_distance_loop(x_g, x_b, pairs, normals)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def test_tie_keeps_the_lower_row(self):
+        x_g = np.zeros((1, 3))
+        x_b = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])  # equal distances
+        normals = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        for pairs, expected in (([[0, 0], [0, 1]], -1.0), ([[0, 1], [0, 0]], 0.0)):
+            got = self.check(x_g, x_b, np.array(pairs, dtype=np.intp), normals)
+            assert got.tolist() == [expected]
+
+    def test_single_pair(self):
+        rng = np.random.default_rng(40)
+        self.check(rng.standard_normal((3, 3)), rng.standard_normal((2, 3)),
+                   np.array([[2, 1]], dtype=np.intp), rng.standard_normal((2, 3)))
+
+    def test_many_pairs_per_vertex(self):
+        rng = np.random.default_rng(41)
+        x_g, x_b = rng.standard_normal((3, 3)), rng.standard_normal((40, 3))
+        pairs = np.array([(g, b) for g in range(3) for b in range(40)], dtype=np.intp)
+        self.check(x_g, x_b, pairs, rng.standard_normal((40, 3)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        # integer positions make many exact distance ties
+        x_g = rng.integers(-2, 3, (12, 3)).astype(np.float64)
+        x_b = rng.integers(-2, 3, (15, 3)).astype(np.float64)
+        pairs = np.unique(np.stack([rng.integers(0, 12, 60), rng.integers(0, 15, 60)],
+                                   axis=1), axis=0)
+        normals = rng.standard_normal((15, 3))
+        self.check(x_g, x_b, pairs, normals)  # sorted, as world edges are
+        self.check(x_g, x_b, pairs[rng.permutation(len(pairs))], normals)
+
 
 class TestStep:
     def test_zero_decoder_output_gives_free_drift(self):
@@ -152,10 +214,9 @@ class TestStep:
         lg = L.encode(params, pos, vel, scene.rest_positions, normals, scene.plan, wc)
         v_s = L.lsdmp_forward(lg, params, cfg.model.lsdmp_layers,
                               cfg.model.smoothing_steps).vertex_feats
-        v_l = G.gsa_forward(lg.vertex_feats, n_g, scene.embedding, params,
-                            cfg.model.gsa_blocks)
-        fused = T.concat([T.gather_rows(v_s, np.arange(n_g)),
-                          T.gather_rows(v_l, np.arange(n_g))], axis=-1)
+        v_l = G.gsa_forward(T.gather_rows(lg.vertex_feats, np.arange(n_g)),
+                            scene.garment.embedding, params, cfg.model.gsa_blocks)
+        fused = T.concat([T.gather_rows(v_s, np.arange(n_g)), v_l], axis=-1)
         accel = T.mul(T.mlp_apply(params, "decoder",
                                   T.mlp_apply(params, "fusion", fused)),
                       params["decoder.accel_scale"])
@@ -384,11 +445,11 @@ class TestFrameCaches:
                             counted("world", S.build_world_edges))
         monkeypatch.setattr(S, "vertex_normals", counted("normals", S.vertex_normals))
         assert S.rollout(state, params, 4, scene) == reference
-        # the first frame builds the initial state's set; every frame builds
-        # its prediction's set once and the next frame reuses it
-        assert calls["world"] == 4 + 1
+        # the initial state keeps its placement check's sets; every frame
+        # builds its prediction's set once and the next frame reuses it
+        assert calls["world"] == 4
         # per frame: the garment's normals and the predicted body's normals
-        assert calls["normals"] == 2 * 4 + 2
+        assert calls["normals"] == 2 * 4
 
     def test_assigning_positions_drops_cached_values(self):
         scene, cfg = small_scene()

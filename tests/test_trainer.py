@@ -13,7 +13,7 @@ from eslrsim import mesh as M
 from eslrsim import sim as S
 from eslrsim import tensor as T
 from eslrsim import trainer as TR
-from eslrsim.config import config_from_dict
+from eslrsim.config import TrainerConfig, config_from_dict
 from eslrsim.errors import ValidationError
 
 
@@ -23,14 +23,14 @@ class TestAdam:
         p = params.add("p", np.array([1.0, -2.0, 3.0]))
         before = p.data.copy()
         state = TR.AdamState()
-        TR.adam_step(params, {"p": np.zeros(3)}, state, TR.AdamHyper())
+        TR.adam_step(params, {"p": np.zeros(3)}, state, TrainerConfig())
         assert np.array_equal(p.data, before)
 
     def test_moments_decay_under_zero_gradient(self):
         params = T.ModelParams()
         params.add("p", np.ones(2))
         state = TR.AdamState(m={"p": np.ones(2)}, v={"p": np.ones(2)}, t=5)
-        TR.adam_step(params, {"p": np.zeros(2)}, state, TR.AdamHyper())
+        TR.adam_step(params, {"p": np.zeros(2)}, state, TrainerConfig())
         assert np.allclose(state.m["p"], 0.9)
         assert np.allclose(state.v["p"], 0.999)
 
@@ -38,7 +38,7 @@ class TestAdam:
         params = T.ModelParams()
         p = params.add("p", np.array([0.0]))
         state = TR.AdamState()
-        hyper = TR.AdamHyper(learning_rate=1e-3)
+        hyper = TrainerConfig(learning_rate=1e-3)
         g = {"p": np.array([0.37])}
         prev = p.data.copy()
         for _ in range(1000):
@@ -51,7 +51,7 @@ class TestAdam:
         params = T.ModelParams()
         x = params.add("x", np.array([0.0]))
         state = TR.AdamState()
-        hyper = TR.AdamHyper(learning_rate=0.01)
+        hyper = TrainerConfig(learning_rate=0.01)
         for i in range(5000):
             grad = 2.0 * (x.data - 3.0)
             TR.adam_step(params, {"x": grad}, state, hyper)
