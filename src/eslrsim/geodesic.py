@@ -25,12 +25,12 @@ about 25 % and each SMACOF iteration about 4 %; the process peaks near 270 MB.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .errors import DisconnectedMeshError, ValidationError
 from .mesh import RestState, Topology
 
@@ -219,9 +219,9 @@ def mds_embed(dist: DistanceMatrix, k: int, max_iters: int = 500,
 
 
 # -- embedding container file ------------------------------------------------
-# Magic line, one JSON header line (n, k, final_stress, seed, iteration count,
-# distance-retention flag), then the n*k embedding as little-endian f64 and,
-# when retained, the n*n distance matrix in the same encoding.
+# A container file (see `container`): the header holds n, k, final_stress,
+# seed, the iteration count and the distance-retention flag; the blocks are
+# the n x k embedding and, when retained, the n x n distance matrix.
 
 def save_embedding(path, emb: GeodesicEmbedding, seed: int,
                    distances: DistanceMatrix | None = None) -> None:
@@ -233,57 +233,32 @@ def save_embedding(path, emb: GeodesicEmbedding, seed: int,
         "seed": int(seed),
         "has_distances": distances is not None,
     }
-    with open(path, "wb") as fh:
-        fh.write(GEO_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(emb.coords, dtype="<f8").tobytes())
-        if distances is not None:
-            fh.write(np.ascontiguousarray(distances.d, dtype="<f8").tobytes())
+    blocks = [emb.coords] if distances is None else [emb.coords, distances.d]
+    container.write(path, GEO_MAGIC, header, blocks)
 
 
 def load_embedding(path) -> tuple[GeodesicEmbedding, DistanceMatrix | None]:
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != GEO_MAGIC:
-            raise ValidationError(f"{path}: not an embedding file (bad magic {magic!r})")
-        header = _read_header(fh, path)
-        n, k = _header_count(header, "n", path), _header_count(header, "k", path)
-        stress = header.get("final_stress")
-        if isinstance(stress, bool) or not isinstance(stress, (int, float)):
-            raise ValidationError(
-                f"{path}: header field 'final_stress' must be a number, got {stress!r}")
-        buf = fh.read(n * k * 8)
-        if len(buf) != n * k * 8:
-            raise ValidationError(f"{path}: truncated embedding block")
-        coords = np.frombuffer(buf, dtype="<f8").reshape(n, k).copy()
-        dist = None
-        if header.get("has_distances"):
-            buf = fh.read(n * n * 8)
-            if len(buf) != n * n * 8:
-                raise ValidationError(f"{path}: truncated distance block")
-            dist = DistanceMatrix(n=n, d=np.frombuffer(buf, dtype="<f8").reshape(n, n).copy())
-    emb = GeodesicEmbedding(k=k, coords=coords, final_stress=float(stress))
-    return emb, dist
+    header, blocks = container.read(path, GEO_MAGIC, "an embedding", _embedding_layout)
+    emb = GeodesicEmbedding(k=header["k"], coords=blocks["coords"],
+                            final_stress=float(header["final_stress"]))
+    dist = blocks.get("distances")
+    return emb, None if dist is None else DistanceMatrix(n=header["n"], d=dist)
 
 
-def _read_header(fh, path) -> dict:
-    """The JSON object on the line after a file's magic."""
-    try:
-        header = json.loads(fh.readline().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ValidationError(f"{path}: unreadable header: {e}") from None
-    if not isinstance(header, dict):
-        raise ValidationError(f"{path}: header must be a JSON object")
-    return header
-
-
-def _header_count(header: dict, key: str, path) -> int:
-    value = header.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+def _embedding_layout(header: dict) -> dict[str, tuple[int, ...]]:
+    for key in ("n", "k"):
+        if not container.is_count(header.get(key)):
+            raise ValidationError(f"header field '{key}' must be a non-negative "
+                                  f"integer, got {header.get(key)!r}")
+    stress = header.get("final_stress")
+    if isinstance(stress, bool) or not isinstance(stress, (int, float)):
         raise ValidationError(
-            f"{path}: header field '{key}' must be a non-negative integer, got {value!r}")
-    return value
+            f"header field 'final_stress' must be a number, got {stress!r}")
+    n, k = header["n"], header["k"]
+    shapes = {"coords": (n, k)}
+    if header.get("has_distances"):
+        shapes["distances"] = (n, n)
+    return shapes
 
 
 def default_embedding_path(garment_path: str) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,12 @@ class SimState:
     q_g: np.ndarray  # (n_G, 3) garment velocities
     x_b: np.ndarray  # (n_B, 3) body positions (kinematic)
     q_b: np.ndarray  # (n_B, 3) body velocities
+    normals_b: np.ndarray  # (n_B, 3) body vertex normals at x_b
     dt: float
-    # World edges of (x_g, x_b) and body vertex normals at x_b, built on first
-    # use by _world_edges/_body_normals and kept so no frame rebuilds them.
-    # Assigning x_g or x_b drops them; never change those arrays in place.
+    # World edges of (x_g, x_b), built on first use by _world_edges and kept so
+    # no frame rebuilds them. Assigning x_g or x_b drops them; never change
+    # those arrays in place.
     world: WorldEdgeSet | None = field(default=None, repr=False, compare=False)
-    body_normals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -53,8 +54,6 @@ class SimState:
     def __setattr__(self, name, value):
         if name in ("x_g", "x_b"):
             self.__dict__["world"] = None
-        if name == "x_b":
-            self.__dict__["body_normals"] = None
         object.__setattr__(self, name, value)
 
 
@@ -73,6 +72,14 @@ class BodyMotion:
     frequency: float
     template: Mesh  # rest-pose body mesh
     pivot: np.ndarray  # swing pivot (unused by other presets)
+
+    @cached_property
+    def rest_normals(self) -> np.ndarray:
+        """Vertex normals of the template, made once and shared by every state
+        of a static body, so read-only."""
+        normals = vertex_normals(self.template.vertices, self.template.triangles)
+        normals.flags.writeable = False
+        return normals
 
 
 @dataclass
@@ -164,14 +171,17 @@ def make_body_motion(preset: str, cfg: RunConfig, amplitude: float | None = None
                       template=template, pivot=pivot)
 
 
-def body_motion_eval(motion: BodyMotion, time: float) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic positions and velocities (closed-form time derivative)."""
-    base = motion.template.vertices
+def body_motion_eval(motion: BodyMotion, time: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic positions, velocities (closed-form time derivative) and vertex
+    normals at those positions."""
+    base, triangles = motion.template.vertices, motion.template.triangles
     if motion.preset == "static_sphere":
-        return base.copy(), np.zeros_like(base)
+        return base.copy(), np.zeros_like(base), motion.rest_normals
     if motion.preset == "translating_capsule":
         vel = np.array([motion.amplitude, 0.0, 0.0])
-        return base + vel * time, np.tile(vel, (len(base), 1))
+        pos = base + vel * time
+        return pos, np.tile(vel, (len(base), 1)), vertex_normals(pos, triangles)
     if motion.preset == "swinging_capsule":
         omega = 2 * np.pi * motion.frequency
         theta = motion.amplitude * np.sin(omega * time)
@@ -183,20 +193,22 @@ def body_motion_eval(motion: BodyMotion, time: float) -> tuple[np.ndarray, np.nd
         # d/dt R(theta) x = dtheta * (z_hat x (R x))
         spun = pos - motion.pivot
         vel = dtheta * np.cross(np.array([0.0, 0.0, 1.0]), spun)
-        return pos, vel
+        return pos, vel, vertex_normals(pos, triangles)
     raise ValidationError(f"unknown body preset {motion.preset!r}")
 
 
 # -- assets and scenes -------------------------------------------------------
 
-def garment_assets_from_mesh(mesh: Mesh, cfg: RunConfig,
-                             embedding: np.ndarray) -> GarmentAssets:
+def garment_assets_from_mesh(mesh: Mesh, cfg: RunConfig, embedding: np.ndarray,
+                             source: str = "embedding") -> GarmentAssets:
+    """`source` names the embedding in the error for a mismatched shape."""
     topo = build_topology(mesh)
     rest = compute_rest_quantities(mesh, topo, cfg.mesh.density)
-    if embedding.shape[0] != mesh.n_vertices:
+    if embedding.shape != (mesh.n_vertices, cfg.geodesic.embed_dim):
         raise ValidationError(
-            f"embedding has {embedding.shape[0]} rows for a garment with "
-            f"{mesh.n_vertices} vertices; re-run preprocess")
+            f"{source} has shape {embedding.shape} for a garment with "
+            f"{mesh.n_vertices} vertices and embedding dimension "
+            f"geodesic.embed_dim={cfg.geodesic.embed_dim}; re-run preprocess")
     radius = cfg.mesh.world_edge_radius
     if radius <= 0:
         radius = cfg.mesh.world_edge_radius_factor * mean_edge_length(mesh, topo)
@@ -214,7 +226,7 @@ def load_garment_assets(garment_path, cfg: RunConfig,
         raise ValidationError(
             f"no geodesic embedding at {path} for garment {garment_path}; "
             f"run `eslrsim preprocess --garment {garment_path}` first") from None
-    return garment_assets_from_mesh(mesh, cfg, emb.coords)
+    return garment_assets_from_mesh(mesh, cfg, emb.coords, source=str(path))
 
 
 def build_scene(garment: GarmentAssets, body: BodyMotion, cfg: RunConfig) -> Scene:
@@ -270,12 +282,12 @@ def initial_state(garment: GarmentAssets, motion: BodyMotion, cfg: RunConfig,
     Warns if the placement already penetrates beyond twice the margin."""
     x_g = garment.mesh.vertices + np.array([0.0, cfg.sim.placement_height, 0.0])
     dt = cfg.physics.dt
-    x_b, q_b = body_motion_eval(motion, t0 * dt)
-    state = SimState(t=t0, x_g=x_g, q_g=np.zeros_like(x_g), x_b=x_b, q_b=q_b, dt=dt)
+    x_b, q_b, normals_b = body_motion_eval(motion, t0 * dt)
+    state = SimState(t=t0, x_g=x_g, q_g=np.zeros_like(x_g), x_b=x_b, q_b=q_b,
+                     normals_b=normals_b, dt=dt)
     pairs = _world_edges(state, garment.world_radius).pairs
     if len(pairs):
-        dist = _nearest_body_signed_distance(
-            x_g, x_b, pairs, _body_normals(state, motion.template.triangles))
+        dist = _nearest_body_signed_distance(x_g, x_b, pairs, normals_b)
         eps = cfg.physics.collision_margin
         if dist.min() < -eps:  # margin violation beyond 2 * eps
             warnings.warn(
@@ -287,9 +299,10 @@ def initial_state(garment: GarmentAssets, motion: BodyMotion, cfg: RunConfig,
 def drift_step(state: SimState, motion: BodyMotion) -> SimState:
     """Free drift: constant garment velocity, kinematic body."""
     t1 = state.t + 1
-    x_b, q_b = body_motion_eval(motion, t1 * state.dt)
+    x_b, q_b, normals_b = body_motion_eval(motion, t1 * state.dt)
     return SimState(t=t1, x_g=state.x_g + state.dt * state.q_g,
-                    q_g=state.q_g.copy(), x_b=x_b, q_b=q_b, dt=state.dt)
+                    q_g=state.q_g.copy(), x_b=x_b, q_b=q_b, normals_b=normals_b,
+                    dt=state.dt)
 
 
 def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
@@ -304,8 +317,7 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     positions = np.concatenate([state.x_g, state.x_b], axis=0)
     velocities = np.concatenate([state.q_g, state.q_b], axis=0)
     normals = np.concatenate(
-        [vertex_normals(state.x_g, scene.garment.mesh.triangles),
-         _body_normals(state, scene.body.template.triangles)], axis=0)
+        [vertex_normals(state.x_g, scene.garment.mesh.triangles), state.normals_b])
 
     lg = lsdmp.encode(params, positions, velocities, scene.rest_positions,
                       normals, scene.plan, world_combined)
@@ -325,9 +337,9 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     q_next = T.add(Tensor(state.q_g), T.mul(accel, dt))
     x_next = T.add(Tensor(state.x_g), T.mul(q_next, dt))
     t1 = state.t + 1
-    x_b_next, q_b_next = body_motion_eval(scene.body, t1 * dt)
+    x_b, q_b, normals_b = body_motion_eval(scene.body, t1 * dt)
     next_state = SimState(t=t1, x_g=x_next.data.copy(), q_g=q_next.data.copy(),
-                          x_b=x_b_next, q_b=q_b_next, dt=dt)
+                          x_b=x_b, q_b=q_b, normals_b=normals_b, dt=dt)
     return StepOutput(accel=accel, x_next=x_next, q_next=q_next,
                       next_state=next_state)
 
@@ -338,20 +350,19 @@ def step_loss(state: SimState, out: StepOutput, scene: Scene,
 
     Collision pairs come from the predicted positions against the advanced
     body; the friction contact set is fixed at the pre-step state so no
-    gradient flows through set membership. Both states keep their world edges
-    and body normals, so the next frame and the penetration metric reuse them.
+    gradient flows through set membership. Both states keep their world edges,
+    so the next frame and the penetration metric reuse them.
     """
     cfg = scene.cfg.physics
     garment = scene.garment
-    radius, triangles = garment.world_radius, scene.body.template.triangles
+    radius = garment.world_radius
     nxt = out.next_state
-    normals_curr = _body_normals(state, triangles)
     contacts = phys.contact_pairs(_world_edges(state, radius).pairs, state.x_g,
-                                  state.x_b, normals_curr, cfg)
+                                  state.x_b, state.normals_b, cfg)
     return phys.total_loss(
-        out.x_next, state.x_g, state.q_g, nxt.x_b, _body_normals(nxt, triangles),
+        out.x_next, state.x_g, state.q_g, nxt.x_b, nxt.normals_b,
         _world_edges(nxt, radius).pairs, contacts, garment.topo, garment.rest, cfg,
-        body_normals_curr=normals_curr, pos_b_curr=state.x_b,
+        body_normals_curr=state.normals_b, pos_b_curr=state.x_b,
         diagnostics=diagnostics)
 
 
@@ -360,13 +371,6 @@ def _world_edges(state: SimState, radius: float) -> WorldEdgeSet:
     if state.world is None:
         state.world = build_world_edges(state.x_g, state.x_b, radius)
     return state.world
-
-
-def _body_normals(state: SimState, triangles: np.ndarray) -> np.ndarray:
-    """The body's vertex normals at the state, made on first use and kept."""
-    if state.body_normals is None:
-        state.body_normals = vertex_normals(state.x_b, triangles)
-    return state.body_normals
 
 
 def _nearest_body_signed_distance(x_g: np.ndarray, x_b: np.ndarray,
@@ -389,8 +393,7 @@ def max_penetration_depth(state: SimState, scene: Scene) -> float:
     pairs = _world_edges(state, scene.garment.world_radius).pairs
     if not len(pairs):
         return 0.0
-    normals = _body_normals(state, scene.body.template.triangles)
-    dist = _nearest_body_signed_distance(state.x_g, state.x_b, pairs, normals)
+    dist = _nearest_body_signed_distance(state.x_g, state.x_b, pairs, state.normals_b)
     return float(max(0.0, (scene.cfg.physics.collision_margin - dist).max()))
 
 

@@ -17,12 +17,12 @@ bit-identical.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import container
 from .errors import ValidationError
 
 CHECKPOINT_MAGIC = b"ESLR-CKPT1\n"
@@ -65,38 +65,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_scalar(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -517,13 +485,15 @@ class ModelParams:
         for name, arr in state.items():
             t = self._params[name]
             if t.data.shape != arr.shape:
-                raise _shape_err(f"load_state_dict[{name}]", t.data.shape, arr.shape)
+                raise ValidationError(f"parameter '{name}' has shape {arr.shape}, "
+                                      f"the model expects {t.data.shape}")
             t.data = np.array(arr, dtype=np.float64)
 
 
 # -- checkpoint file format ------------------------------------------------
-# Magic line, one JSON header line (config echo, iteration, seed, parameter
-# names + shapes in storage order), then raw little-endian f64 blocks.
+# A container file (see `container`): the header holds the config echo,
+# iteration, seed and the parameter names and shapes in storage order; the
+# blocks are the parameters.
 
 def save_checkpoint(path, params: ModelParams, config: dict, iteration: int,
                     seed: int) -> None:
@@ -533,49 +503,32 @@ def save_checkpoint(path, params: ModelParams, config: dict, iteration: int,
         "seed": int(seed),
         "params": [{"name": n, "shape": list(t.data.shape)} for n, t in params.items()],
     }
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for _, t in params.items():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    container.write(path, CHECKPOINT_MAGIC, header, (t.data for _, t in params.items()))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint; returns (name -> array, header dict). A file that is
     not a well-formed checkpoint raises ValidationError."""
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != CHECKPOINT_MAGIC:
-            raise ValidationError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ValidationError(f"{path}: unreadable header: {e}") from None
-        entries = header.get("params") if isinstance(header, dict) else None
-        if not isinstance(entries, list) or not all(_is_param_entry(e) for e in entries):
-            raise ValidationError(
-                f"{path}: header needs 'params', a list of {{name, shape}} entries "
-                f"with non-negative integer dimensions")
-        seed = header.get("seed")
-        if type(seed) is not int or seed < 0:
-            raise ValidationError(
-                f"{path}: header field 'seed' must be a non-negative integer, got {seed!r}")
-        state: dict[str, np.ndarray] = {}
-        for entry in entries:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValidationError(f"{path}: truncated block for '{entry['name']}'")
-            state[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    header, state = container.read(path, CHECKPOINT_MAGIC, "a checkpoint",
+                                   _checkpoint_layout)
     return state, header
 
 
-def _is_param_entry(entry) -> bool:
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(type(d) is int and d >= 0 for d in entry["shape"]))
+def _checkpoint_layout(header: dict) -> dict[str, tuple[int, ...]]:
+    entries = header.get("params")
+    shapes: dict[str, tuple[int, ...]] = {}
+    for e in entries if isinstance(entries, list) else [None]:  # None: no list
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and e["name"] not in shapes and isinstance(e.get("shape"), list)
+                and all(container.is_count(d) for d in e["shape"])):
+            raise ValidationError(
+                "header needs 'params', a list of {name, shape} entries with "
+                "unique names and non-negative integer dimensions")
+        shapes[e["name"]] = tuple(e["shape"])
+    if not container.is_count(header.get("seed")):
+        raise ValidationError(f"header field 'seed' must be a non-negative integer, "
+                              f"got {header.get('seed')!r}")
+    return shapes
 
 
 # -- MLP helpers -----------------------------------------------------------

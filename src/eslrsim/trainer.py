@@ -114,18 +114,7 @@ def train(cfg: RunConfig, out_dir, scenes: list[sim.Scene] | None = None,
         scenes = [sim.scene_from_spec(spec, cfg) for spec in tcfg.scenes]
     if not scenes:
         raise ValidationError("trainer needs at least one scene")
-    embed_dims = {s.garment.embedding.shape[1] for s in scenes}
-    if len(embed_dims) != 1:
-        raise ValidationError(
-            f"all garments must share one embedding dimension, got {sorted(embed_dims)}")
-    embed_dim = embed_dims.pop()
-    if embed_dim != cfg.geodesic.embed_dim:
-        raise ValidationError(
-            f"garment embeddings have dimension {embed_dim} but the config says "
-            f"geodesic.embed_dim={cfg.geodesic.embed_dim}; re-run preprocess "
-            f"with --embed-dim {cfg.geodesic.embed_dim} or fix the config")
-
-    params = sim.build_model_params(cfg.model, embed_dim, seed=tcfg.seed)
+    params = sim.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=tcfg.seed)
     adam = AdamState()
     rng = np.random.default_rng(tcfg.seed)
     cfg_dict = config_to_dict(cfg)

@@ -118,6 +118,17 @@ class TestTrainCli:
         assert rc == 2
         assert "grid.obj" in capsys.readouterr().err
 
+    def test_embedding_dimension_mismatch_exits_2(self, tmp_path, garment_obj, capsys):
+        cfg_path = small_config_file(tmp_path, garment_obj, iterations=1)
+        assert cli.main(["preprocess", "--garment", str(garment_obj),
+                         "--embed-dim", "2"]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dimension" in err and "re-run preprocess" in err
+
     @pytest.mark.parametrize("bad, named", [
         ({"physics": {"density": 1.0}}, "density"),
         ({"trainer": {"scenes": 5}}, "trainer.scenes"),
@@ -322,6 +333,16 @@ def rewrite_header(path, edit):
     path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + rest)
 
 
+def with_shape(name, edit):
+    """A header edit that replaces the shape of parameter `name` by edit(shape)."""
+    def apply(header):
+        for entry in header["params"]:
+            if entry["name"] == name:
+                entry["shape"] = edit(entry["shape"])
+        return header
+    return apply
+
+
 class TestFileHeaders:
     @pytest.mark.parametrize("edit, named", [
         pytest.param(lambda h: {k: v for k, v in h.items() if k != "n"}, "'n'",
@@ -331,6 +352,7 @@ class TestFileHeaders:
         pytest.param(lambda h: {**h, "n": 25.0}, "'n'", id="float-n"),
         pytest.param(lambda h: {**h, "n": "25"}, "'n'", id="string-n"),
         pytest.param(lambda h: {**h, "k": -3}, "'k'", id="negative-k"),
+        pytest.param(lambda h: {**h, "n": 2**62, "k": 2**62}, "bytes", id="huge-n-k"),
     ])
     def test_bad_embedding_header_exits_2(self, tmp_path, garment_obj, capsys,
                                           edit, named):
@@ -352,6 +374,15 @@ class TestFileHeaders:
                      "params", id="negative-shape"),
         pytest.param(lambda h: [h], "params", id="not-an-object"),
         pytest.param(lambda h: {**h, "seed": "x"}, "seed", id="string-seed"),
+        pytest.param(with_shape("encoder.vertex.w0", lambda s: [2**62]), "bytes",
+                     id="huge-shape"),
+        pytest.param(with_shape("encoder.vertex.w0", lambda s: [2**32, 2**32]),
+                     "bytes", id="overflowing-shape"),
+        pytest.param(with_shape("encoder.world_edge.w0", lambda s: s[::-1]),
+                     "encoder.world_edge.w0", id="transposed-shape"),
+        pytest.param(lambda h: {**h, "config": {**h["config"], "model": {
+            **h["config"]["model"], "hidden_dim": h["config"]["model"]["hidden_dim"] + 1}}},
+                     "shape", id="config-hidden-dim"),
     ])
     def test_bad_checkpoint_header_exits_2(self, tmp_path, garment_obj, trained,
                                            capsys, edit, named):
@@ -362,7 +393,7 @@ class TestFileHeaders:
                        "--frames", "1", "--out", str(tmp_path / "frames")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        assert named in err and trained.name in err and "Traceback" not in err
 
 
 class TestExitCodes:

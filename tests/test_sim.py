@@ -49,16 +49,16 @@ def small_scene(cfg=None, preset="static_sphere", grid=5):
 class TestBodyMotion:
     def test_static_sphere_constant(self):
         scene, cfg = small_scene()
-        p0, v0 = S.body_motion_eval(scene.body, 0.0)
-        p1, v1 = S.body_motion_eval(scene.body, 3.7)
+        p0, v0, _ = S.body_motion_eval(scene.body, 0.0)
+        p1, v1, _ = S.body_motion_eval(scene.body, 3.7)
         assert np.array_equal(p0, p1)
         assert np.array_equal(v0, np.zeros_like(v0))
 
     def test_translating_capsule_exact_offset(self):
         cfg = desk_config()
         motion = S.make_body_motion("translating_capsule", cfg, amplitude=0.25)
-        p0, v0 = S.body_motion_eval(motion, 0.0)
-        p2, v2 = S.body_motion_eval(motion, 2.0)
+        p0, v0, _ = S.body_motion_eval(motion, 0.0)
+        p2, v2, _ = S.body_motion_eval(motion, 2.0)
         assert np.allclose(p2 - p0, [0.5, 0.0, 0.0])
         assert np.allclose(v2, np.tile([0.25, 0.0, 0.0], (len(p0), 1)))
 
@@ -66,8 +66,8 @@ class TestBodyMotion:
         cfg = desk_config()
         swing = S.make_body_motion("swinging_capsule", cfg, amplitude=0.0)
         trans = S.make_body_motion("translating_capsule", cfg, amplitude=0.0)
-        ps, vs = S.body_motion_eval(swing, 1.3)
-        pt, vt = S.body_motion_eval(trans, 1.3)
+        ps, vs, _ = S.body_motion_eval(swing, 1.3)
+        pt, vt, _ = S.body_motion_eval(trans, 1.3)
         assert np.allclose(ps, pt, atol=1e-15)
         assert np.allclose(vs, vt, atol=1e-15)
 
@@ -76,10 +76,23 @@ class TestBodyMotion:
         motion = S.make_body_motion("swinging_capsule", cfg, amplitude=0.4,
                                     frequency=0.8)
         t, h = 0.37, 1e-6
-        _, vel = S.body_motion_eval(motion, t)
-        pp, _ = S.body_motion_eval(motion, t + h)
-        pm, _ = S.body_motion_eval(motion, t - h)
+        _, vel, _ = S.body_motion_eval(motion, t)
+        pp, _, _ = S.body_motion_eval(motion, t + h)
+        pm, _, _ = S.body_motion_eval(motion, t - h)
         assert np.allclose(vel, (pp - pm) / (2 * h), atol=1e-8)
+
+    @pytest.mark.parametrize("preset", S.PRESETS)
+    def test_normals_are_those_of_the_positions(self, preset):
+        motion = S.make_body_motion(preset, desk_config())
+        for t in (0.0, 0.9):
+            pos, _, normals = S.body_motion_eval(motion, t)
+            assert normals.tobytes() == M.vertex_normals(
+                pos, motion.template.triangles).tobytes()
+
+    def test_static_body_normals_made_once(self):
+        scene, _ = small_scene()
+        assert (S.body_motion_eval(scene.body, 0.0)[2]
+                is S.body_motion_eval(scene.body, 3.7)[2])
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError, match="preset"):
@@ -114,10 +127,10 @@ class TestInitialState:
         state = S.initial_state(scene.garment, scene.body, cfg)
         fresh = M.build_world_edges(state.x_g, state.x_b, scene.garment.world_radius)
         assert len(fresh.pairs)  # the placement check ran
-        assert state.world is not None and state.body_normals is not None
+        assert state.world is not None
         assert np.array_equal(state.world.pairs, fresh.pairs)
         assert state.world.radius == fresh.radius
-        assert state.body_normals.tobytes() == M.vertex_normals(
+        assert state.normals_b.tobytes() == M.vertex_normals(
             state.x_b, scene.body.template.triangles).tobytes()
 
 
@@ -240,7 +253,7 @@ class TestStep:
         out = S.step(state, params, scene)
         assert out.accel.data.shape == (scene.garment.mesh.n_vertices, 3)
         # the body advanced exactly kinematically
-        expected_b, _ = S.body_motion_eval(scene.body, (state.t + 1) * state.dt)
+        expected_b, _, _ = S.body_motion_eval(scene.body, (state.t + 1) * state.dt)
         assert np.array_equal(out.next_state.x_b, expected_b)
 
     def test_gradients_flow_to_all_model_parts(self):
@@ -459,8 +472,11 @@ class TestFrameCaches:
             out = S.step(state, params, scene)
             S.step_loss(state, out, scene)
         nxt = out.next_state
-        assert nxt.world is not None and nxt.body_normals is not None
+        assert nxt.world is not None and nxt.normals_b is not None
         nxt.x_g = nxt.x_g + 1.0
-        assert nxt.world is None and nxt.body_normals is not None
+        assert nxt.world is None and nxt.normals_b is not None
+        # normals are a plain field like q_b: assigning x_b keeps them
+        normals = nxt.normals_b
+        nxt.world = M.build_world_edges(nxt.x_g, nxt.x_b, scene.garment.world_radius)
         nxt.x_b = nxt.x_b + 1.0
-        assert nxt.body_normals is None
+        assert nxt.world is None and nxt.normals_b is normals
