@@ -82,8 +82,18 @@ def _load_model(ckpt_path) -> tuple[T.ModelParams, RunConfig]:
     state, header = T.load_checkpoint(ckpt_path)
     try:
         cfg = config_from_dict(header.get("config", {}))
-        params = sim.build_model_params(cfg.model, cfg.geodesic.embed_dim,
-                                        seed=header["seed"])
+        # check the echoed sizes against the file's own before allocating a model
+        m, h, k = cfg.model, cfg.model.hidden_dim, cfg.geodesic.embed_dim
+        shapes = {name: a.shape for name, a in state.items()}
+        for key, expected, found in (
+                ("model.lsdmp_layers", m.lsdmp_layers, sum(n.endswith(".f_v.w0") for n in shapes)),
+                ("model.gsa_blocks", m.gsa_blocks, sum(n.endswith(".wq") for n in shapes)),
+                ("model.hidden_dim", (h, h), shapes.get("decoder.w0")),
+                ("geodesic.embed_dim", (h + k, h), shapes.get("gsa.block0.wq", (h + k, h)))):
+            if expected != found:
+                raise ValidationError(f"config {key} does not match the parameter names "
+                                      f"and shapes (expected {expected}, found {found})")
+        params = sim.build_model_params(m, k, seed=header["seed"])
         missing = set(params.names()) ^ set(state)
         if missing:
             raise ValidationError(f"parameter set does not match its config "

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 import numpy as np
 
@@ -35,11 +35,12 @@ def write(path, magic: bytes, header: dict, blocks: Iterable[np.ndarray]) -> Non
 
 
 def read(path, magic: bytes, kind: str,
-         layout: Callable[[dict], dict[str, tuple[int, ...]]]
-         ) -> tuple[dict, dict[str, np.ndarray]]:
+         layout: Callable[[dict], dict[str, tuple[int, ...]]],
+         skip: Container[str] = ()) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the named blocks of a container file. `layout(header)`
     checks the caller's own header fields, raising ValidationError, and
-    returns each block's name and shape (non-negative ints) in file order."""
+    returns each block's name and shape (non-negative ints) in file order.
+    Blocks named in `skip` are seeked past, not read."""
     with open(path, "rb") as fh:
         found = fh.read(len(magic))
         if found != magic:
@@ -61,6 +62,9 @@ def read(path, magic: bytes, kind: str,
                 f"{left} bytes follow it")
         blocks = {}
         for (name, shape), size in zip(shapes.items(), sizes):
+            if name in skip:
+                fh.seek(size, os.SEEK_CUR)
+                continue
             blocks[name] = np.empty(shape, dtype="<f8")
             if fh.readinto(blocks[name]) != size:
                 raise ValidationError(f"{path}: truncated block '{name}'")

@@ -237,8 +237,11 @@ def save_embedding(path, emb: GeodesicEmbedding, seed: int,
     container.write(path, GEO_MAGIC, header, blocks)
 
 
-def load_embedding(path) -> tuple[GeodesicEmbedding, DistanceMatrix | None]:
-    header, blocks = container.read(path, GEO_MAGIC, "an embedding", _embedding_layout)
+def load_embedding(path, distances: bool = True
+                   ) -> tuple[GeodesicEmbedding, DistanceMatrix | None]:
+    """The embedding, and its distances if stored and `distances` (else unread)."""
+    header, blocks = container.read(path, GEO_MAGIC, "an embedding", _embedding_layout,
+                                    skip=() if distances else ("distances",))
     emb = GeodesicEmbedding(k=header["k"], coords=blocks["coords"],
                             final_stress=float(header["final_stress"]))
     dist = blocks.get("distances")

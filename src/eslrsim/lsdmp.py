@@ -26,13 +26,15 @@ WORLD_EDGE_FEATURES = 4  # relative position + norm
 
 class EdgeIncidence:
     """An edge list's incidences on `n` vertices: the gather of each endpoint
-    (its backward is a scatter) and the incident-edge sum at each vertex."""
+    (its backward is a scatter) and the incident-edge sum at each vertex. Row
+    r of `incident` is edge `r mod M`; `incident_edges` are those rows per step."""
 
     def __init__(self, edges: np.ndarray, n: int):
         self.edges = edges
         self.first = T.Incidence(edges[:, 0], n)
         self.second = T.Incidence(edges[:, 1], n)
         self.incident = T.Incidence(np.concatenate([edges[:, 0], edges[:, 1]]), n)
+        self.incident_edges = [rows % len(edges) for rows in self.incident.steps]
 
 
 class MeshPlan:
@@ -160,27 +162,35 @@ def init_lsdmp_params(params: ModelParams, n_layers: int, hidden_dim: int,
 def mp_edge_update(lg: LatentGraph, params: ModelParams,
                    name: str) -> tuple[Tensor, Tensor]:
     """Edge features from (edge, both endpoints), with a residual; mesh and
-    world edges use separate MLPs."""
+    world edges use separate MLPs; the MLP input is one op."""
     v = lg.vertex_feats
 
     def update(inc, feats, mlp_name):
-        inp = T.concat([feats, T.gather_rows(v, inc.first),
-                        T.gather_rows(v, inc.second)], axis=-1)
+        h = feats.data.shape[1]
+        inp = T._node(
+            np.concatenate([feats.data, v.data[inc.first.ids], v.data[inc.second.ids]],
+                           axis=-1), (feats, v, v), "edge_input",
+            lambda g: (g[:, :h], inc.first.sum(g[:, h:2 * h]), inc.second.sum(g[:, 2 * h:])))
         return T.add(T.mlp_apply(params, mlp_name, inp), feats)
 
     return (update(lg.plan.edges, lg.mesh_edge_feats, f"{name}.f_e_mesh"),
             update(lg.world_plan, lg.world_edge_feats, f"{name}.f_e_world"))
 
 
+def incident_sum(inc: EdgeIncidence, feats: Tensor) -> Tensor:
+    """Per-vertex sum of the features of incident edges (zeros where none), as
+    `segment_sum` of `[feats; feats]` without the copy; parents `(feats, feats)`."""
+    acc = np.zeros((inc.incident.n,) + feats.data.shape[1:])
+    for rows in inc.incident_edges:
+        acc[:len(rows)] += feats.data[rows]
+    return T._node(acc[inc.incident.inverse], (feats, feats), "incident_sum",
+                   lambda g: (g[inc.first.ids], g[inc.second.ids]))
+
+
 def mp_vertex_update(lg: LatentGraph, mesh_e: Tensor, world_e: Tensor,
                      params: ModelParams, name: str) -> Tensor:
     """Vertex features from (vertex, mesh-edge sum, world-edge sum), with a
     residual; vertices with no incident edges of a kind get a zero sum."""
-    n = lg.plan.n_total
-
-    def incident_sum(inc, feats):
-        return T.segment_sum(T.concat([feats, feats], axis=0), inc.incident, n)
-
     inp = T.concat([lg.vertex_feats,
                     incident_sum(lg.plan.edges, mesh_e),
                     incident_sum(lg.world_plan, world_e)], axis=-1)

@@ -134,9 +134,10 @@ def parse_obj(text: str, kind: str = "garment") -> Mesh:
 
 def obj_text(vertices: np.ndarray, triangles: np.ndarray) -> str:
     """OBJ text for raw arrays (no validation; %.17g round-trips f64 exactly)."""
-    lines = [f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in vertices]
-    lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in triangles]
-    return "\n".join(lines) + "\n"
+    v = np.asarray(vertices).ravel().tolist()  # Python floats format fastest
+    f = (np.asarray(triangles) + 1).ravel().tolist()
+    return (("v %.17g %.17g %.17g\n" * (len(v) // 3)) % tuple(v)
+            + ("f %s %s %s\n" * (len(f) // 3)) % tuple(f)) or "\n"
 
 
 def load_obj(path, kind: str = "garment") -> Mesh:

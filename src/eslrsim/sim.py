@@ -221,7 +221,7 @@ def load_garment_assets(garment_path, cfg: RunConfig,
     mesh = load_obj(garment_path, kind="garment")
     path = embedding_path or geo.default_embedding_path(garment_path)
     try:
-        emb, _ = geo.load_embedding(path)
+        emb, _ = geo.load_embedding(path, distances=False)
     except FileNotFoundError:
         raise ValidationError(
             f"no geodesic embedding at {path} for garment {garment_path}; "
@@ -417,10 +417,10 @@ def rollout(state: SimState, params: ModelParams, n_frames: int, scene: Scene,
         for frame in range(n_frames):
             with T.no_grad():
                 out = step(state, params, scene)
+                nxt = out.next_state
+                if not (np.all(np.isfinite(nxt.x_g)) and np.all(np.isfinite(nxt.q_g))):
+                    raise RolloutError(frame, "non-finite garment state")
                 _, breakdown = step_loss(state, out, scene)
-            nxt = out.next_state
-            if not (np.all(np.isfinite(nxt.x_g)) and np.all(np.isfinite(nxt.q_g))):
-                raise RolloutError(frame, "non-finite garment state")
             record = {"frame": frame, **breakdown,
                       "max_penetration": max_penetration_depth(nxt, scene)}
             records.append(record)

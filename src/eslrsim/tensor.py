@@ -6,13 +6,18 @@ vector-Jacobian product: `vjp(g)` maps the gradient `g` of the output to one
 gradient per parent, in parent order, or `None` for a parent that needs none.
 A gradient may have the output's broadcast shape; `backward()` sums it back to
 the parent's shape. `vjp` must not refer to the output tensor, so a tape holds
-no reference cycles and is freed by reference counting as soon as its loss is
-dropped.
+no reference cycles and is freed by reference counting. Fused ops (`mlp_apply`,
+one node per MLP) run the separate ops' expressions and keep only what their
+vjp needs; a parent listed twice gets its gradients in the listed order, the
+order the separate ops accumulated them.
 
 `backward()` walks the implicit tape in reverse topological order and is the
-only place gradients are accumulated. All math is float64 and every reduction
-runs in a fixed (ascending-index) order, so replaying the same computation is
-bit-identical.
+only place gradients are accumulated. Backward consumes the tape: after a
+node's vjp has run, the node drops its vjp, parents and gradient, so
+activations are freed during the sweep; leaves keep their gradients, and a
+second `backward()` through a consumed tape raises. All math is float64 and
+every reduction runs in a fixed (ascending-index) order, so replaying the same
+computation is bit-identical.
 """
 
 from __future__ import annotations
@@ -55,13 +60,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._vjp: Callable | None = None
         self._prev: tuple[Tensor, ...] = ()
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -223,19 +221,6 @@ def matmul(a, b) -> Tensor:
                             a.data.T @ g if b.requires_grad else None))
 
 
-def linear(x, w, b) -> Tensor:
-    """`x @ w + b` as one op; the bias is added in place to the product, so the
-    values equal those of `add(matmul(x, w), b)`."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise _shape_err("linear", x.data.shape, w.data.shape)
-    y = x.data @ w.data
-    y += b.data
-    return _node(y, (x, w, b), "linear",
-                 lambda g: (g @ w.data.T if x.requires_grad else None,
-                            x.data.T @ g if w.requires_grad else None, g))
-
-
 def concat(parts: Iterable, axis: int = -1) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     widths = [p.data.shape[axis] for p in parts]
@@ -379,25 +364,29 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum", vjp)
 
 
+def _normalize(y: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """LayerNorm's `xhat`, made from the rows of `y` in place, and `inv` (1/std)."""
+    y -= y.mean(axis=-1, keepdims=True)
+    var = np.einsum("...i,...i->...", y, y)[..., None] / y.shape[-1]
+    inv = 1.0 / np.sqrt(var + eps)
+    y *= inv
+    return y, inv
+
+
+def _layer_norm_dx(g, gain, xhat, inv) -> np.ndarray:
+    dxhat = g * gain
+    return (dxhat - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    h = x.data.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.einsum("...i,...i->...", xc, xc)[..., None] / h
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-
-    def vjp(g):
-        dx = None
-        if x.requires_grad:
-            dxhat = g * gain.data
-            dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
-        return dx, (g * xhat if gain.requires_grad else None), g
-
-    return _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", vjp)
+    xhat, inv = _normalize(x.data.copy(), eps)
+    return _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm",
+                 lambda g: (_layer_norm_dx(g, gain.data, xhat, inv)
+                            if x.requires_grad else None,
+                            g * xhat if gain.requires_grad else None, g))
 
 
 def row_norm(a) -> Tensor:
@@ -412,8 +401,12 @@ def dot_rows(a, b) -> Tensor:
 
 # -- backward pass ---------------------------------------------------------
 
+def _consumed(g):
+    raise RuntimeError("backward: this tape was consumed by an earlier backward()")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates into .grad fields."""
+    """Reverse-mode sweep from a scalar loss into the leaves' .grad; consumes the tape."""
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -432,12 +425,14 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if not node._prev:
+    while topo:
+        node = topo.pop()
+        if node._vjp is None:  # a leaf keeps its gradient
             continue
         for p, g in zip(node._prev, node._vjp(node.grad)):
             if g is not None and p.requires_grad:
                 _accumulate(p, _unbroadcast(g, p.data.shape))
+        node.grad, node._vjp, node._prev = None, _consumed, ()
 
 
 # -- parameter store -------------------------------------------------------
@@ -555,19 +550,37 @@ def mlp_init(params: ModelParams, name: str, in_dim: int, hidden: int, out_dim: 
 
 
 def mlp_apply(params: ModelParams, name: str, x) -> Tensor:
-    """Apply the MLP stored under `name`; LayerNorm iff it was initialized with one."""
+    """Apply the MLP stored under `name` (linear, relu, linear, relu, linear,
+    LayerNorm iff it was initialized with one) as one tape op. It keeps `x`,
+    both ReLU outputs (`a > 0` equals `relu(a) > 0`), `xhat` and `inv`."""
     x = as_tensor(x)
-    if x.data.shape[-1] != params[f"{name}.w0"].data.shape[0]:
-        raise _shape_err(f"mlp_apply[{name}]", x.data.shape,
-                         params[f"{name}.w0"].data.shape)
-    h = x
+    p = [params[f"{name}.{k}"] for k in ("w0", "b0", "w1", "b1", "w2", "b2", "ln_gain",
+                                          "ln_bias") if f"{name}.{k}" in params]
+    if x.data.ndim != 2 or x.data.shape[1] != p[0].data.shape[0]:
+        raise _shape_err(f"mlp_apply[{name}]", x.data.shape, p[0].data.shape)
+    ins = [x.data]  # the input of each linear layer; none kept without a tape
     for i in range(3):
-        h = linear(h, params[f"{name}.w{i}"], params[f"{name}.b{i}"])
+        y = ins[-1] @ p[2 * i].data
+        y += p[2 * i + 1].data
+        ins = ins if _GRAD_ENABLED else []
         if i < 2:
-            h = relu(h)
-    if f"{name}.ln_gain" in params:
-        h = layer_norm(h, params[f"{name}.ln_gain"], params[f"{name}.ln_bias"])
-    return h
+            ins.append(np.maximum(y, 0.0, out=y))
+    if len(p) > 6:
+        xhat, inv = _normalize(y, 1e-5)
+        y = xhat * p[6].data + p[7].data
+
+    def vjp(g):
+        grads = []
+        if len(p) > 6:
+            grads = [g * xhat, g]
+            g = _layer_norm_dx(g, p[6].data, xhat, inv)
+        for i in (2, 1, 0):
+            grads[:0] = [ins[i].T @ g, g]
+            if i:
+                g = (g @ p[2 * i].data.T) * (ins[i] > 0.0)
+        return [g @ p[0].data.T if x.requires_grad else None] + grads
+
+    return _node(y, (x, *p), "mlp", vjp)
 
 
 # -- gradient checking -----------------------------------------------------

@@ -139,7 +139,6 @@ def train(cfg: RunConfig, out_dir, scenes: list[sim.Scene] | None = None,
             params.zero_grad()
             T.backward(loss)
             adam_step(params, params.grads(), adam, tcfg)
-            del out, loss  # free this iteration's tape before the next warm-up
             totals[it - 1] = breakdown["total"]
             record = {"iteration": it, **breakdown,
                       "wall_time": time.monotonic() - start}

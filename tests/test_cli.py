@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from eslrsim import cli
+from eslrsim import cli, sim
 from eslrsim import mesh as M
 from eslrsim.config import config_from_dict, save_config
 
@@ -394,6 +394,28 @@ class TestFileHeaders:
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and trained.name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "hidden_dim", 2**40), ("model", "hidden_dim", 20_000),
+        ("model", "lsdmp_layers", 10**9), ("model", "gsa_blocks", 10**9),
+        ("geodesic", "embed_dim", 10**9),
+    ])
+    def test_config_echo_sizes_checked_before_the_model_is_built(
+            self, tmp_path, garment_obj, trained, capsys, monkeypatch, section, key, value):
+        def build_model_params(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        rewrite_header(trained, lambda h: {**h, "config": {**h["config"], section: {
+            **h["config"][section], key: value}}})
+        monkeypatch.setattr(sim, "build_model_params", build_model_params)
+        capsys.readouterr()
+        rc = cli.main(["simulate", "--ckpt", str(trained), "--garment",
+                       str(garment_obj), "--body", "static_sphere",
+                       "--frames", "1", "--out", str(tmp_path / "frames")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and trained.name in err
+        assert "Traceback" not in err
 
 
 class TestExitCodes:

@@ -50,6 +50,22 @@ class TestParseObj:
         assert np.array_equal(m.vertices, m2.vertices)
         assert np.array_equal(m.triangles, m2.triangles)
 
+    def test_obj_text_equals_the_numpy_scalar_formatter_bitwise(self):
+        def numpy_scalar_obj_text(vertices, triangles):
+            lines = [f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in vertices]
+            lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in triangles]
+            return "\n".join(lines) + "\n"
+
+        rng = np.random.default_rng(5)
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e300, -1e300,
+                   np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, 123456789.0]
+        vertices = np.concatenate([np.array(special).reshape(-1, 3),
+                                   rng.standard_normal((30, 3)) * 1e3 ** rng.integers(
+                                       -3, 4, (30, 1))])
+        triangles = rng.integers(0, len(vertices), (40, 3))
+        for v, t in ((vertices, triangles), (vertices[:0], triangles[:0])):
+            assert M.obj_text(v, t) == numpy_scalar_obj_text(v, t)
+
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             M.parse_obj("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")

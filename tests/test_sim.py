@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +380,43 @@ class TestModelParams:
         with pytest.raises(ValidationError, match="preprocess"):
             S.load_garment_assets(garment_path, cfg)
 
+    def test_garment_assets_skip_the_distance_block(self, tmp_path, monkeypatch):
+        """A `--keep-distances` embedding loads the same coordinates as one
+        without, and none of its n x n distance bytes are read."""
+        from eslrsim import container
+        from eslrsim import geodesic as geo
+        cfg = desk_config()
+        garment = M.grid_cloth(4, 4)
+        garment_path = tmp_path / "g.obj"
+        M.save_obj(garment_path, garment)
+        topo = M.build_topology(garment)
+        dist = geo.geodesic_distances(topo, M.compute_rest_quantities(garment, topo, 0.2))
+        emb = geo.mds_embed(dist, k=cfg.geodesic.embed_dim, seed=0)
+        plain = tmp_path / "plain.geo1"
+        geo.save_embedding(plain, emb, seed=0)
+        geo.save_embedding(garment_path.with_suffix(".geo1"), emb, seed=0, distances=dist)
+        read = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                read.append(len(data))
+                return data
+
+            def readinto(self, b):
+                n = super().readinto(b)
+                read.append(n)
+                return n
+
+        # unbuffered, so every byte read is a byte the reader asked for
+        monkeypatch.setattr(container, "open", CountingFile, raising=False)
+        coords = S.load_garment_assets(garment_path, cfg).embedding
+        monkeypatch.undo()
+        ref = S.load_garment_assets(garment_path, cfg, embedding_path=plain).embedding
+        assert coords.tobytes() == ref.tobytes()
+        n = garment.n_vertices
+        assert sum(read) == garment_path.with_suffix(".geo1").stat().st_size - 8 * n * n
+
 
 class TestRolloutAbort:
     def test_non_finite_state_raises_with_frame_index(self):
@@ -388,6 +427,20 @@ class TestRolloutAbort:
         unzero_output_layers(params)
         state = S.initial_state(scene.garment, scene.body, cfg)
         with np.errstate(all="ignore"):  # inf arithmetic is the point here
+            with pytest.raises(RolloutError, match="frame 0"):
+                S.rollout(state, params, 3, scene)
+
+    def test_non_finite_prediction_stops_before_the_step_loss(self):
+        """The check comes before the predicted positions reach the world-edge
+        grid, which would cast NaN to int and warn."""
+        from eslrsim.errors import RolloutError
+        scene, cfg = small_scene()
+        params = S.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=20)
+        params["decoder.accel_scale"].data = np.array([np.nan])
+        unzero_output_layers(params)
+        state = S.initial_state(scene.garment, scene.body, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(RolloutError, match="frame 0"):
                 S.rollout(state, params, 3, scene)
 

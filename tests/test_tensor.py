@@ -430,53 +430,141 @@ class TestIncidence:
             bincount_rows(w, ids, 5).tobytes()
 
 
-class TestLinear:
-    def test_values_and_grads_equal_matmul_plus_bias_bitwise(self):
-        rng = np.random.default_rng(8)
-        x, w, b = (rng.standard_normal(s) for s in ((7, 5), (5, 3), (3,)))
-        g = rng.standard_normal((7, 3))
-        results = []
-        for fused in (True, False):
-            xt, wt, bt = (T.Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
-            out = T.linear(xt, wt, bt) if fused else T.add(T.matmul(xt, wt), bt)
-            T.backward(T.tsum(T.mul(out, T.Tensor(g))))
-            results.append([out.data, xt.grad, wt.grad, bt.grad])
-        for fused, ref in zip(*results):
-            assert fused.tobytes() == ref.tobytes()
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    """LayerNorm as a separate tape op, with its own forward and vjp."""
+    h = x.data.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = np.einsum("...i,...i->...", xc, xc)[..., None] / h
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+
+    def vjp(g):
+        dxhat = g * gain.data
+        dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+        return dx, g * xhat, g
+
+    return T._node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm", vjp)
+
+
+def unfused_mlp(params, name, x):
+    """The MLP as separate tape ops: matmul plus bias, relu, ..., LayerNorm."""
+    h = x
+    for i in range(3):
+        h = T.add(T.matmul(h, params[f"{name}.w{i}"]), params[f"{name}.b{i}"])
+        if i < 2:
+            h = T.relu(h)
+    if f"{name}.ln_gain" in params:
+        h = reference_layer_norm(h, params[f"{name}.ln_gain"], params[f"{name}.ln_bias"])
+    return h
+
+
+def random_mlp(norm, seed, d_in=5, hidden=6, d_out=4):
+    rng = np.random.default_rng(seed)
+    params = T.ModelParams()
+    T.mlp_init(params, "m", d_in, hidden, d_out, rng, norm=norm)
+    for _, t in params.items():  # generic biases and LayerNorm parameters
+        t.data = t.data + 0.3 * rng.standard_normal(t.data.shape)
+    return params
+
+
+class TestFusedMLP:
+    def test_values_and_grads_equal_unfused_ops_bitwise(self):
+        for norm in (True, False):
+            for x_grad in (True, False):
+                params = random_mlp(norm, seed=8)
+                rng = np.random.default_rng(9)
+                x = rng.standard_normal((7, 5))
+                x[2] = 0.0  # with b0[0] = 0, a pre-activation sits exactly at the kink
+                params["m.b0"].data[0] = 0.0
+                g = rng.standard_normal((7, 4))
+                results = []
+                for apply in (T.mlp_apply, unfused_mlp):
+                    params.zero_grad()
+                    xt = T.Tensor(x.copy(), requires_grad=x_grad)
+                    # x also feeds a residual, so its gradient is accumulated
+                    out = T.add(apply(params, "m", xt), T.slice_cols(xt, 0, 4))
+                    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+                    results.append([out.data, xt.grad] + list(params.grads().values()))
+                assert (results[0][1] is None) == (not x_grad)
+                for fused, ref in zip(*results):
+                    assert (fused is None and ref is None) or fused.tobytes() == ref.tobytes()
 
     def test_grad_matches_fd(self):
-        rng = np.random.default_rng(9)
-        params = T.ModelParams()
-        params.add("x", rng.standard_normal((4, 3)))
-        params.add("w", rng.standard_normal((3, 2)))
-        params.add("b", rng.standard_normal(2))
-        g = T.Tensor(rng.standard_normal((4, 2)))
+        for norm in (True, False):
+            params = random_mlp(norm, seed=10)
+            rng = np.random.default_rng(11)
+            params.add("x", rng.standard_normal((4, 5)))
+            g = T.Tensor(rng.standard_normal((4, 4)))
 
-        def f():
-            out = T.linear(params["x"], params["w"], params["b"])
-            return T.tsum(T.mul(T.mul(out, out), g))
+            def f():
+                out = T.mlp_apply(params, "m", params["x"])
+                return T.tsum(T.mul(T.mul(out, out), g))
 
-        assert max(T.grad_check(f, params).values()) <= 1e-6
+            assert max(T.grad_check(f, params).values()) <= 1e-6
 
     def test_constant_operands_get_no_gradient(self):
-        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
-        w, b = T.Tensor(np.ones((3, 2))), T.Tensor(np.zeros(2))
-        T.backward(T.tsum(T.linear(x, w, b)))
-        assert w.grad is None and b.grad is None
-        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+        params = random_mlp(True, seed=12)
+        params["m.w1"].requires_grad = False
+        x = T.Tensor(np.ones((2, 5)))
+        T.backward(T.tsum(T.mlp_apply(params, "m", x)))
+        assert x.grad is None and params["m.w1"].grad is None
+        assert params["m.w0"].grad.shape == (5, 6)
 
     def test_shape_error_names_op(self):
-        with pytest.raises(ValueError, match="linear"):
-            T.linear(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))), 0.0)
+        params = random_mlp(False, seed=13)
+        with pytest.raises(ValueError, match="mlp_apply"):
+            T.mlp_apply(params, "m", T.Tensor(np.ones(5)))
 
-    def test_mlp_records_six_tape_nodes(self):
-        params = T.ModelParams()
-        T.mlp_init(params, "m", 3, 4, 2, np.random.default_rng(0), norm=True)
-        out = T.mlp_apply(params, "m", T.Tensor(np.ones((5, 3))))
-        seen, stack = set(), [out]
-        while stack:
-            node = stack.pop()
-            if node._prev and id(node) not in seen:
-                seen.add(id(node))
-                stack.extend(node._prev)
-        assert len(seen) == 6  # 3 linear, 2 relu, 1 layer_norm
+    def test_mlp_records_one_tape_node(self):
+        params = random_mlp(True, seed=14)
+        x = T.Tensor(np.ones((5, 5)))
+        out = T.mlp_apply(params, "m", x)
+        assert out._prev == (x,) + tuple(t for _, t in params.items())
+        assert all(not p._prev for p in out._prev)
+
+
+class TestTapeConsumption:
+    def test_intermediate_data_freed_during_backward(self):
+        gc.disable()
+        try:
+            x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+            seen = []
+            # the first op's vjp runs last and looks at a later intermediate
+            first = T._node(x.data * 2.0, (x,), "probe",
+                            lambda g: (seen.append(hidden_data()) or g * 2.0,))
+            hidden = T.relu(first)
+            hidden_data = weakref.ref(hidden.data)
+            loss = T.tsum(T.mul(hidden, hidden))
+            del hidden, first
+            T.backward(loss)
+            assert seen == [None]
+            assert float(loss.data) == 220.0  # the loss is still held
+            assert np.array_equal(x.grad, 8.0 * x.data)
+        finally:
+            gc.enable()
+
+    def test_leaves_keep_gradients_and_intermediates_drop_theirs(self):
+        x = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        hidden = T.mul(x, 3.0)
+        loss = T.tsum(hidden)
+        T.backward(loss)
+        assert np.array_equal(x.grad, [3.0, 3.0])
+        assert hidden.grad is None and loss.grad is None
+        assert hidden._prev == () and loss._prev == ()
+
+    def test_second_backward_raises(self):
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        loss = T.tsum(T.mul(x, x))
+        T.backward(loss)
+        with pytest.raises(RuntimeError, match="consumed"):
+            T.backward(loss)
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_new_op_on_a_consumed_node_raises(self):
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        hidden = T.mul(x, 2.0)
+        T.backward(T.tsum(hidden))
+        with pytest.raises(RuntimeError, match="consumed"):
+            T.backward(T.tsum(T.mul(hidden, hidden)))

@@ -204,7 +204,7 @@ class TestAbort:
 
 
 TRAIN_SCRIPT = """
-import shutil, sys
+import json, shutil, sys
 from pathlib import Path
 from eslrsim import cli, config, trainer
 root, out = Path(sys.argv[1]), Path(sys.argv[2])
@@ -212,6 +212,8 @@ garment = out / "grid10.obj"
 shutil.copy(root / "assets" / "grid10.obj", garment)
 assert cli.main(["preprocess", "--garment", str(garment)]) == 0
 cfg = config.load_config(root / "assets" / "desk_config.json")
+for key, value in json.loads(sys.argv[3]).items():
+    setattr(cfg.model, key, value)
 cfg.trainer.scenes[0].garment = str(garment)
 cfg.trainer.iterations = 10
 cfg.trainer.checkpoint_interval = 0
@@ -219,20 +221,43 @@ trainer.train(cfg, out / "run")
 """
 
 
-def test_desk_training_parameter_bytes_match_recorded_digest(tmp_path):
-    """Ten desk iterations (model-mode warm-up, 4 layers, s=3, 2 GSA blocks)
-    write the parameter blocks the unfused smoothing, bincount scatter and
-    separate matmul/bias ops wrote, with numpy's bundled OpenBLAS 0.3.31 on
-    one thread; each run is a subprocess with one BLAS thread."""
+def desk_training_digest(tmp_path, model_overrides) -> str:
+    """sha256 of the parameter blocks after ten desk iterations, trained in a
+    subprocess with one BLAS thread."""
     root = Path(__file__).resolve().parents[1]
     src = str(Path(TR.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(root), str(tmp_path)],
+    run = subprocess.run([sys.executable, "-c", TRAIN_SCRIPT, str(root), str(tmp_path),
+                          json.dumps(model_overrides)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     ckpt = (tmp_path / "run" / "checkpoint_final.ckpt").read_bytes()
     blocks = ckpt.split(b"\n", 2)[2]  # after the magic and the header line
-    assert hashlib.sha256(blocks).hexdigest() == (
+    return hashlib.sha256(blocks).hexdigest()
+
+
+def test_desk_training_parameter_bytes_match_recorded_digest(tmp_path):
+    """Ten desk iterations (model-mode warm-up, 4 layers, s=3, 2 GSA blocks)
+    write the parameter blocks the unfused smoothing, bincount scatter and
+    separate matmul/bias ops wrote, with numpy's bundled OpenBLAS 0.3.31 on
+    one thread; each run is a subprocess with one BLAS thread."""
+    assert desk_training_digest(tmp_path, {}) == (
         "76ae25b6d5d89a123e3182290635a41f51a741e2d830481ff278e82fd88b9935")
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    pytest.param({"gsa_blocks": 0},
+                 "042a0e7e02250c5631f4b4d9fdc51028b59551aa2b1adb86f01caaff13d7f93d",
+                 id="lsdmp_only"),
+    pytest.param({"smoothing_steps": 0, "gsa_blocks": 0},
+                 "0229a2d9684b0795eba738365ba1892cb7954b964b085610069b8178cbda4661",
+                 id="baseline"),
+])
+def test_ablation_training_parameter_bytes_match_recorded_digest(tmp_path, overrides,
+                                                                 digest):
+    """The desk digest for the ablation paths with no GSA block and with s = 0,
+    recorded with the separate matmul/bias/relu/layer-norm, gather/concat and
+    concat/segment-sum ops, in the same setting as the full model's."""
+    assert desk_training_digest(tmp_path, overrides) == digest
