@@ -29,6 +29,9 @@ class Mesh:
         n = len(self.vertices)
         if n < 3:
             raise ValidationError(f"mesh needs at least 3 vertices, got {n}")
+        nonfinite = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if nonfinite.size:
+            raise ValidationError(f"non-finite coordinate at vertex {nonfinite[0]}")
         if self.triangles.size and (self.triangles.min() < 0 or self.triangles.max() >= n):
             raise ValidationError(
                 f"triangle index out of range (vertex count {n}, "
@@ -219,13 +222,17 @@ def compute_rest_quantities(mesh: Mesh, topo: Topology, density: float) -> RestS
     areas = triangle_areas(mesh.vertices, mesh.triangles)
     if np.any(areas <= TRIANGLE_AREA_EPS):
         raise ValidationError("degenerate (zero-area) triangle in rest mesh")
+    diffs = mesh.vertices[topo.mesh_edges[:, 0]] - mesh.vertices[topo.mesh_edges[:, 1]]
+    lengths = np.linalg.norm(diffs, axis=1)
+    if not (np.isfinite(areas).all() and np.isfinite(lengths).all()):
+        raise ValidationError("rest mesh too large: a triangle area or edge length "
+                              "overflows float64")
     masses = np.zeros(mesh.n_vertices)
     for col in range(3):
         np.add.at(masses, mesh.triangles[:, col], areas / 3.0)
     masses *= density
-    diffs = mesh.vertices[topo.mesh_edges[:, 0]] - mesh.vertices[topo.mesh_edges[:, 1]]
     return RestState(
-        edge_rest_lengths=np.linalg.norm(diffs, axis=1),
+        edge_rest_lengths=lengths,
         vertex_masses=masses,
         rest_dihedral_angles=dihedral_angles(mesh.vertices, topo.dihedral_pairs),
     )
@@ -246,6 +253,14 @@ def _cell_keys(cells: np.ndarray) -> np.ndarray:
             ^ (cells[:, 2] * 83492791))
 
 
+def _cells(pos: np.ndarray, inv: float) -> np.ndarray:
+    # clamped so huge finite coordinates cast to defined cells; clamping never
+    # moves two points apart, so no pair within the radius is lost
+    with np.errstate(over="ignore"):
+        cells = np.floor(pos * inv)
+    return np.clip(cells, -2.0 ** 62, 2.0 ** 62, out=cells).astype(np.int64)
+
+
 def build_world_edges(garment_pos: np.ndarray, body_pos: np.ndarray,
                       radius: float) -> WorldEdgeSet:
     """All (garment, body) pairs within `radius`, via a uniform spatial hash.
@@ -263,10 +278,10 @@ def build_world_edges(garment_pos: np.ndarray, body_pos: np.ndarray,
     if not len(garment_pos) or not len(body_pos):
         return WorldEdgeSet(pairs=empty, radius=radius)
     inv = 1.0 / radius
-    body_keys = _cell_keys(np.floor(body_pos * inv).astype(np.int64))
+    body_keys = _cell_keys(_cells(body_pos, inv))
     order = np.argsort(body_keys, kind="stable")
     sorted_keys = body_keys[order]
-    garment_cells = np.floor(garment_pos * inv).astype(np.int64)
+    garment_cells = _cells(garment_pos, inv)
     g_parts, b_parts = [], []
     for off in _CELL_OFFSETS:
         query = _cell_keys(garment_cells + off)
@@ -286,7 +301,8 @@ def build_world_edges(garment_pos: np.ndarray, body_pos: np.ndarray,
         return WorldEdgeSet(pairs=empty, radius=radius)
     gi = np.concatenate(g_parts)
     bi = np.concatenate(b_parts)
-    d2 = ((garment_pos[gi] - body_pos[bi]) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflow to inf is out of range
+        d2 = ((garment_pos[gi] - body_pos[bi]) ** 2).sum(axis=1)
     keep = d2 <= radius * radius
     # unique also sorts rows and drops duplicates from hash collisions
     pairs = np.unique(np.stack([gi[keep], bi[keep]], axis=1), axis=0)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eslrsim import cli, sim
+from eslrsim import geodesic as geo
 from eslrsim import mesh as M
 from eslrsim.config import config_from_dict, save_config
+from eslrsim.errors import ValidationError
 
 
 @pytest.fixture
@@ -423,3 +428,87 @@ class TestExitCodes:
         rc = cli.main(["preprocess", "--garment", str(tmp_path / "nope.obj"),
                        "--embed-dim", "2"])
         assert rc in (1, 2)
+
+
+# -- fuzz: mutated OBJ garments through `preprocess` ---------------------------
+
+GRID_4X4 = M.grid_cloth(4, 4)
+GRID_OBJ_LINES = M.obj_text(GRID_4X4.vertices, GRID_4X4.triangles).splitlines()
+
+
+def n_components(mesh):
+    """Connected components of the triangles' vertex graph, by union-find;
+    a vertex in no triangle is a component of its own."""
+    parent = list(range(mesh.n_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2])):
+            parent[root(int(a))] = root(int(b))
+    return len({root(v) for v in range(mesh.n_vertices)})
+
+
+@st.composite
+def mutated_obj(draw):
+    """The 4x4 grid's OBJ lines after one to three edits."""
+    lines = list(GRID_OBJ_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        faces = [i for i, line in enumerate(lines) if line.startswith("f ")]
+        verts = [i for i, line in enumerate(lines) if line.startswith("v ")]
+        # token edits: (lines to edit, replacement tokens)
+        swaps = {"face_index": (faces, ["0", "-1", "-17", str(len(verts) + 1), "9" * 20]),
+                 "token": (faces + verts, ["x", "1..2", "--3", "1e", "0x10"]),
+                 "coordinate": (verts, ["nan", "inf", "-inf", "1e300", "-1e308", "1e200",
+                                        "1e-320"])}
+        kind = draw(st.sampled_from(["delete", "duplicate_face", "isolated", "patch",
+                                     *swaps]))
+        if kind == "delete" and lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif kind == "duplicate_face" and faces:
+            lines.append(lines[draw(st.sampled_from(faces))])
+        elif kind == "isolated":
+            lines.append("v 3 3 3")
+        elif kind == "patch":  # a triangle apart from the grid
+            k = len(verts)
+            lines += ["v 10 0 0", "v 11 0 0", "v 10 0 1", f"f {k + 1} {k + 2} {k + 3}"]
+        elif kind in swaps and swaps[kind][0]:
+            rows, values = swaps[kind]
+            row = draw(st.sampled_from(rows))
+            tokens = lines[row].split()
+            tokens[draw(st.integers(1, len(tokens) - 1))] = draw(st.sampled_from(values))
+            lines[row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("obj-fuzz")
+
+
+@given(text=mutated_obj())
+@settings(max_examples=150, deadline=None)
+def test_mutated_obj_preprocess_exits_cleanly(fuzz_dir, text):
+    garment, out = fuzz_dir / "garment.obj", fuzz_dir / "garment.geo1"
+    garment.write_text(text)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["preprocess", "--garment", str(garment), "--out", str(out),
+                       "--embed-dim", "2"])
+    assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
+    try:
+        mesh = M.parse_obj(text)
+    except ValidationError:
+        assert rc == 2
+        return
+    if n_components(mesh) > 1:
+        assert rc == 2
+    else:  # whatever else fails, a connected mesh is not called disconnected
+        assert "connected components" not in err.getvalue()
+    if rc == 0:
+        emb, _ = geo.load_embedding(out)
+        assert np.isfinite(emb.coords).all() and np.isfinite(emb.final_stress)

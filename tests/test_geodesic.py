@@ -63,6 +63,44 @@ def reference_dijkstra(topo, rest):
     return d
 
 
+def edge_graph(n, edges, weights):
+    """Topology and rest state of an arbitrary weighted graph, no triangles."""
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    nbrs = [set() for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].add(int(j))
+        nbrs[j].add(int(i))
+    topo = M.Topology(mesh_edges=edges,
+                      adjacency=[np.array(sorted(a), dtype=np.intp) for a in nbrs],
+                      dihedral_pairs=np.zeros((0, 4), dtype=np.intp))
+    rest = M.RestState(np.asarray(weights, dtype=np.float64), np.ones(n), np.zeros(0))
+    return topo, rest
+
+
+# equal real sums of these round differently in f64 (0.1 + 0.2 != 0.3)
+NEAR_TIES = np.array([0.1, 0.2, 0.3, 1 / 3, 0.6, 0.7])
+
+
+def tie_heavy_graph(n, seed, hub_degree=0):
+    """Random connected graph: a random spanning tree, about n extra edges and
+    optionally vertex 0 joined to `hub_degree` others, weights from NEAR_TIES."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    pairs = {(int(perm[i]), int(perm[rng.integers(0, i)])) for i in range(1, n)}
+    pairs |= {(int(a), int(b)) for a, b in rng.integers(0, n, (n, 2))}
+    pairs |= {(0, int(v)) for v in rng.permutation(np.arange(1, n))[:hub_degree]}
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    return edge_graph(n, edges, rng.choice(NEAR_TIES, len(edges)))
+
+
+def assert_matches_reference(dm, ref):
+    """Upper triangle bitwise equal to full heap Dijkstra, lower triangle its
+    mirror, zero diagonal."""
+    assert np.array_equal(np.triu(dm.d, 1), np.triu(ref, 1))
+    assert np.array_equal(dm.d, dm.d.T)
+    assert np.array_equal(np.diag(dm.d), np.zeros(dm.n))
+
+
 def jittered_grid(nx, ny, seed):
     m = M.grid_cloth(nx, ny)
     rng = np.random.default_rng(seed)
@@ -122,9 +160,8 @@ class TestGeodesicDistances:
                np.array([[0, 1, 2]])),
     ], ids=["jittered-9x7", "triangle"])
     def test_early_stop_matches_full_reference(self, mesh):
-        # each source stops once the vertices above it are settled; the upper
-        # triangle must still equal a full run bit for bit, the last source's
-        # row comes from the mirror alone, and the diagonal is zero
+        # the upper triangle must equal a full heap run bit for bit, the last
+        # source's row comes from the mirror alone, and the diagonal is zero
         topo = M.build_topology(mesh)
         rest = M.compute_rest_quantities(mesh, topo, 1.0)
         dm = G.geodesic_distances(topo, rest)
@@ -135,6 +172,28 @@ class TestGeodesicDistances:
         assert np.array_equal(np.diag(dm.d), np.zeros(n))
         assert np.array_equal(dm.d[n - 1, :n - 1], ref[:n - 1, n - 1])
 
+    @pytest.mark.parametrize("n, seed", [(5, 0), (23, 1), (64, 2), (90, 3), (160, 4)])
+    def test_near_tie_weights_match_heap_dijkstra_bitwise(self, n, seed):
+        topo, rest = tie_heavy_graph(n, seed)
+        assert_matches_reference(G.geodesic_distances(topo, rest),
+                                 reference_dijkstra(topo, rest))
+
+    def test_fan_vertex_matches_heap_dijkstra_bitwise(self):
+        topo, rest = tie_heavy_graph(120, seed=5, hub_degree=80)
+        assert len(topo.adjacency[0]) >= 80
+        assert_matches_reference(G.geodesic_distances(topo, rest),
+                                 reference_dijkstra(topo, rest))
+
+    @pytest.mark.parametrize("block", [G._SOURCE_BLOCK, 16, 7])
+    @pytest.mark.parametrize("n", [3, 15, 37, 130])
+    def test_partial_source_blocks_match_heap_dijkstra_bitwise(self, monkeypatch,
+                                                               n, block):
+        # a last block shorter than the others, and graphs smaller than a block
+        monkeypatch.setattr(G, "_SOURCE_BLOCK", block)
+        topo, rest = tie_heavy_graph(n, seed=n + block, hub_degree=n // 3)
+        assert_matches_reference(G.geodesic_distances(topo, rest),
+                                 reference_dijkstra(topo, rest))
+
     def test_disconnected_names_smallest_component(self):
         edges = np.array([[0, 1], [2, 3], [3, 4]], dtype=np.intp)
         adjacency = [np.array(a, dtype=np.intp)
@@ -144,6 +203,26 @@ class TestGeodesicDistances:
         rest = M.RestState(np.ones(3), np.ones(5), np.zeros(0))
         with pytest.raises(DisconnectedMeshError, match=r"2 vertices: \[0, 1\]"):
             G.geodesic_distances(topo, rest)
+
+    @pytest.mark.parametrize("edges, n, message", [
+        # the smallest component is neither the first nor the last
+        ([[0, 1], [1, 2], [2, 3], [4, 5], [6, 7], [7, 8]], 9,
+         "3 connected components; smallest has 2 vertices: [4, 5]"),
+        # two components tie for smallest: the one with the lower vertex wins
+        ([[0, 2], [2, 4], [4, 6], [1, 5], [3, 7]], 8,
+         "3 connected components; smallest has 2 vertices: [1, 5]"),
+        # an isolated vertex, and a smallest component longer than 8
+        ([[i, i + 1] for i in range(9)] + [[10 + i, 11 + i] for i in range(11)], 23,
+         "3 connected components; smallest has 1 vertices: [22]"),
+        ([[i, i + 1] for i in range(8)] + [[9 + i, 10 + i] for i in range(11)], 21,
+         "2 connected components; smallest has 9 vertices: "
+         "[0, 1, 2, 3, 4, 5, 6, 7...]"),
+    ], ids=["middle", "tie", "isolated", "truncated"])
+    def test_disconnected_message(self, edges, n, message):
+        topo, rest = edge_graph(n, edges, np.ones(len(edges)))
+        with pytest.raises(DisconnectedMeshError) as err:
+            G.geodesic_distances(topo, rest)
+        assert str(err.value) == "mesh graph has " + message
 
 
 class TestPairwiseDistances:

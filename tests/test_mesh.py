@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,11 @@ class TestParseObj:
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(ValidationError, match="degenerate"):
             M.parse_obj("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite coordinate at vertex 1"):
+            M.parse_obj(f"v 0 0 0\nv {bad} 0 0\nv 0 1 0\nf 1 2 3\n")
 
 
 class TestTopology:
@@ -142,6 +149,13 @@ class TestRestQuantities:
         with pytest.raises(ValidationError, match="density"):
             M.compute_rest_quantities(m, M.build_topology(m), density=0.0)
 
+    def test_overflowing_rest_quantities_rejected(self):
+        # finite coordinates whose areas overflow float64
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = M.grid_cloth(3, 3, 1e160, 1e160)
+            with pytest.raises(ValidationError, match="rest mesh too large"):
+                M.compute_rest_quantities(m, M.build_topology(m), 1.0)
+
     def test_folded_quad_angle(self):
         # fold the second triangle 90 degrees up around the shared diagonal
         verts = np.array([[0, 0, 0], [1, 0, 1], [1, 0, 0], [0, 0, 1]], dtype=float)
@@ -189,6 +203,26 @@ class TestWorldEdges:
         ws = M.build_world_edges(rng.random((50, 3)), rng.random((60, 3)), 0.3)
         rows = [tuple(r) for r in ws.pairs]
         assert rows == sorted(set(rows))
+
+
+    def test_huge_finite_coordinates_match_brute_force(self):
+        # cells beyond int64 are clamped, not cast to undefined values; a body
+        # point in the same clamped cell but far away is dropped by the exact
+        # check, whose overflow to inf is silent
+        rng = np.random.default_rng(7)
+        g = np.concatenate([rng.random((30, 3)),
+                            [[1e300, 0, 0], [-1e300, 0.5, 0.5], [0, 1.7e308, -1e300],
+                             [1e300, 1e300, 1e300]]])
+        b = np.concatenate([rng.random((40, 3)),
+                            [[1e300, 0, 0.05], [2e300, 0, 0], [-1e300, -1e300, 0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ws = M.build_world_edges(g, b, 0.1)
+        with np.errstate(over="ignore"):
+            d = np.sqrt(((g[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        expected = np.argwhere(d <= 0.1)
+        assert [30, 40] in expected.tolist()
+        assert np.array_equal(ws.pairs, expected)
 
 
 class TestVertexNormals:
