@@ -77,7 +77,7 @@ class TrainerConfig:
     scenes: list[SceneSpec] = field(default_factory=list)
     checkpoint_interval: int = _at_least(0, 500)
     warmup_steps: int = _at_least(0, 5)  # free (untrained) frames before the training step
-    warmup_mode: str = "model"  # model: no-grad model steps | drift: constant velocity
+    warmup_mode: str = "model"  # the only mode: no-grad model steps
     time_horizon: int = _at_least(1, 60)  # frames from which the time offset is sampled
 
 

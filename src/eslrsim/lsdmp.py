@@ -26,27 +26,31 @@ WORLD_EDGE_FEATURES = 4  # relative position + norm
 
 class EdgeIncidence:
     """An edge list's incidences on `n` vertices: the gather of each endpoint
-    (its backward is a scatter) and the incident-edge sum at each vertex. Row
-    r of `incident` is edge `r mod M`; `incident_edges` are those rows per step."""
+    (its backward is a scatter) and the incident-edge sum at each vertex.
+    `incident` has one row per edge end, `[first ends; second ends]`, and
+    reads edge row `r mod M`, so its sum takes the (M, h) edge features as
+    they are."""
 
     def __init__(self, edges: np.ndarray, n: int):
         self.edges = edges
         self.first = T.Incidence(edges[:, 0], n)
         self.second = T.Incidence(edges[:, 1], n)
-        self.incident = T.Incidence(np.concatenate([edges[:, 0], edges[:, 1]]), n)
-        self.incident_edges = [rows % len(edges) for rows in self.incident.steps]
+        self.incident = T.Incidence(np.concatenate([edges[:, 0], edges[:, 1]]), n,
+                                    rows=np.tile(np.arange(len(edges)), 2))
 
 
 class MeshPlan:
     """Everything LSDMP derives from the fixed combined mesh, built once per
     scene: the edge incidences and the smoothing operator's message routing.
 
-    Smoothing message r goes from `src[r]` to `dst[r]` along garment edge
-    `r mod E_g`, with the first endpoint of every edge as destination first.
-    Per step of the destination incidence, `step_src` and `step_edges` hold
-    the source vertices and edge rows to add; `mask` marks garment vertices
-    with a neighbour (their output is the mean), `keep = 1 - mask` the rows
-    that pass through.
+    Smoothing message r goes to vertex `[g0; g1][r]` from `[g1; g0][r]` along
+    garment edge `r mod E_g` (g0, g1: the garment edges' endpoints).
+    `neighbours` routes the source rows and `garment.incident` the edge rows
+    to the destinations; with the same segment ids, their steps pair up.
+    `neighbours_back`, the backward's scatter, is the reverse routing: its
+    segments are the sources, so it groups and orders rows differently.
+    `mask` marks garment vertices with a neighbour (their output is the
+    mean), `keep = 1 - mask` the rows that pass through.
     """
 
     def __init__(self, mesh_edges: np.ndarray, n_garment: int, n_garment_edges: int,
@@ -57,14 +61,12 @@ class MeshPlan:
         self.n_total = n_total
         self.edges = EdgeIncidence(mesh_edges, n_total)
         ge = mesh_edges[:n_garment_edges]
-        self.ends = ge[:, 0], ge[:, 1]
+        self.garment = EdgeIncidence(ge, n_total)
+        dst = self.garment.incident.ids  # [g0; g1]
         src = np.concatenate([ge[:, 1], ge[:, 0]])
-        self.src = T.Incidence(src, n_total)  # the backward's scatter
-        self.dst = T.Incidence(np.concatenate([ge[:, 0], ge[:, 1]]), n_total)
-        eidx = np.tile(np.arange(n_garment_edges), 2)
-        self.step_src = [src[rows] for rows in self.dst.steps]
-        self.step_edges = [eidx[rows] for rows in self.dst.steps]
-        counts = self.dst.counts
+        self.neighbours = T.Incidence(dst, n_total, rows=src)
+        self.neighbours_back = T.Incidence(src, n_total, rows=dst)
+        counts = self.neighbours.counts
         self.denom = np.maximum(counts, 1.0)[:, None]
         active = (counts > 0) & (np.arange(n_total) < n_garment)
         self.mask = active.astype(np.float64)[:, None]
@@ -180,10 +182,7 @@ def mp_edge_update(lg: LatentGraph, params: ModelParams,
 def incident_sum(inc: EdgeIncidence, feats: Tensor) -> Tensor:
     """Per-vertex sum of the features of incident edges (zeros where none), as
     `segment_sum` of `[feats; feats]` without the copy; parents `(feats, feats)`."""
-    acc = np.zeros((inc.incident.n,) + feats.data.shape[1:])
-    for rows in inc.incident_edges:
-        acc[:len(rows)] += feats.data[rows]
-    return T._node(acc[inc.incident.inverse], (feats, feats), "incident_sum",
+    return T._node(inc.incident.sum(feats.data), (feats, feats), "incident_sum",
                    lambda g: (g[inc.first.ids], g[inc.second.ids]))
 
 
@@ -198,9 +197,9 @@ def mp_vertex_update(lg: LatentGraph, mesh_e: Tensor, world_e: Tensor,
 
 
 def smoothing_edge_rows(mesh_e: Tensor, lg: LatentGraph) -> list[np.ndarray]:
-    """The edge rows each smoothing step adds, per step of the destination
+    """The edge rows each smoothing step adds, per step of the garment edges'
     incidence; they are the same for all `s` steps of a layer."""
-    return [mesh_e.data[eidx] for eidx in lg.plan.step_edges]
+    return [mesh_e.data[rows] for rows in lg.plan.garment.incident.steps]
 
 
 def laplacian_smooth_step(v: Tensor, mesh_e: Tensor, lg: LatentGraph,
@@ -221,10 +220,9 @@ def laplacian_smooth_step(v: Tensor, mesh_e: Tensor, lg: LatentGraph,
         return v
     if edge_rows is None:
         edge_rows = smoothing_edge_rows(mesh_e, lg)
-    acc = np.zeros(v.data.shape)
-    for src, e in zip(plan.step_src, edge_rows):
-        acc[:len(src)] += v.data[src] + e
-    mean = acc[plan.dst.inverse]
+    nb = plan.neighbours
+    mean = nb.add_steps((v.data[src] + e for src, e in zip(nb.steps, edge_rows)),
+                        v.data.shape[1:])
     mean /= plan.denom
     mean *= plan.mask
     out = v.data * plan.keep
@@ -236,12 +234,12 @@ def laplacian_smooth_step(v: Tensor, mesh_e: Tensor, lg: LatentGraph,
         gm /= plan.denom
         gv = ge = None
         if v.requires_grad:
-            gv = plan.src.sum(gm[plan.dst.ids])
+            gv = plan.neighbours_back.sum(gm)
         if mesh_e.requires_grad:
             ge = np.zeros((n_edges,) + g.shape[1:])
             head = ge[:plan.n_garment_edges]
-            head += gm[plan.ends[0]]
-            head += gm[plan.ends[1]]
+            head += gm[plan.garment.first.ids]
+            head += gm[plan.garment.second.ids]
         return gv, ge, (g * plan.keep if v.requires_grad else None)
 
     return T._node(out, (v, mesh_e, v), "laplacian_smooth", vjp)

@@ -49,7 +49,7 @@ class Mesh:
 @dataclass
 class Topology:
     mesh_edges: np.ndarray  # (E, 2), each row i<j, rows sorted lexicographically
-    adjacency: list[np.ndarray]  # per-vertex sorted neighbor indices
+    n_vertices: int
     dihedral_pairs: np.ndarray  # (D, 4) rows [i, j, p, q]: edge (i,j), opposite p and q
     nonmanifold_edge_count: int = 0
 
@@ -156,7 +156,7 @@ def save_obj(path, mesh: Mesh) -> None:
 # -- topology and rest state -----------------------------------------------
 
 def build_topology(mesh: Mesh) -> Topology:
-    """Deduplicated edges, symmetric adjacency, dihedral pairs for 2-manifold edges.
+    """Deduplicated edges and dihedral pairs for 2-manifold edges.
 
     Edges shared by more than two triangles get no dihedral pair; they are only
     counted in `nonmanifold_edge_count`.
@@ -171,12 +171,6 @@ def build_topology(mesh: Mesh) -> Topology:
             opposite.setdefault(key, []).append(int(c))
     edges = np.array(sorted(opposite), dtype=np.intp).reshape(-1, 2)
 
-    neighbors: list[list[int]] = [[] for _ in range(mesh.n_vertices)]
-    for i, j in edges:
-        neighbors[i].append(int(j))
-        neighbors[j].append(int(i))
-    adjacency = [np.array(sorted(ns), dtype=np.intp) for ns in neighbors]
-
     dihedral = []
     nonmanifold = 0
     for i, j in edges:
@@ -187,7 +181,7 @@ def build_topology(mesh: Mesh) -> Topology:
             nonmanifold += 1
     return Topology(
         mesh_edges=edges,
-        adjacency=adjacency,
+        n_vertices=mesh.n_vertices,
         dihedral_pairs=np.array(dihedral, dtype=np.intp).reshape(-1, 4),
         nonmanifold_edge_count=nonmanifold,
     )

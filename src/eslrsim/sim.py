@@ -296,15 +296,6 @@ def initial_state(garment: GarmentAssets, motion: BodyMotion, cfg: RunConfig,
     return state
 
 
-def drift_step(state: SimState, motion: BodyMotion) -> SimState:
-    """Free drift: constant garment velocity, kinematic body."""
-    t1 = state.t + 1
-    x_b, q_b, normals_b = body_motion_eval(motion, t1 * state.dt)
-    return SimState(t=t1, x_g=state.x_g + state.dt * state.q_g,
-                    q_g=state.q_g.copy(), x_b=x_b, q_b=q_b, normals_b=normals_b,
-                    dt=state.dt)
-
-
 def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     """Encode, process (short-range and long-range in parallel), fuse, decode,
     integrate. See module docstring for the exact sequence."""

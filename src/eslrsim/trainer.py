@@ -1,8 +1,9 @@
 """Unsupervised training: sample a scene, predict one step, minimize the
 physics loss of the prediction.
 
-Each iteration places the garment, drifts it for a few free frames so the body
-phase advances, runs one model step, and backpropagates the total physics loss.
+Each iteration places the garment, advances it a few frames with the current
+model under no_grad so the body phase advances, runs one model step, and
+backpropagates the total physics loss.
 Everything is driven by one seeded generator, so a (config, seed) pair fully
 determines the checkpoint bytes.
 """
@@ -71,28 +72,16 @@ class TrainResult:
 
 def _build_state(scene: sim.Scene, cfg: RunConfig, t0: int, n_warmup: int,
                  params: ModelParams) -> sim.SimState:
-    """Placement plus a short warm-up of free (untrained) frames.
-
-    Model-mode warm-up advances with the current model under no_grad, so the
-    training distribution covers states the model actually reaches during
-    rollouts; drift mode moves at constant velocity, which on a static scene
-    leaves every sample identical.
-    """
+    """Placement plus a short warm-up of free (untrained) frames, advanced with
+    the current model under no_grad, so the training distribution covers
+    states the model actually reaches during rollouts."""
     state = sim.initial_state(scene.garment, scene.body, cfg, t0=t0)
-    if cfg.trainer.warmup_mode == "drift":
+    with T.no_grad():
         for _ in range(n_warmup):
-            state = sim.drift_step(state, scene.body)
-    elif cfg.trainer.warmup_mode == "model":
-        with T.no_grad():
-            for _ in range(n_warmup):
-                nxt = sim.step(state, params, scene).next_state
-                if not np.all(np.isfinite(nxt.x_g)):
-                    break  # keep the last finite state; the loss will push back
-                state = nxt
-    else:
-        raise ValidationError(
-            f"trainer.warmup_mode must be 'model' or 'drift', "
-            f"got {cfg.trainer.warmup_mode!r}")
+            nxt = sim.step(state, params, scene).next_state
+            if not np.all(np.isfinite(nxt.x_g)):
+                break  # keep the last finite state; the loss will push back
+            state = nxt
     return state
 
 
@@ -106,6 +95,9 @@ def train(cfg: RunConfig, out_dir, scenes: list[sim.Scene] | None = None,
     tcfg = cfg.trainer
     if tcfg.iterations < 1 or tcfg.learning_rate < 0:
         raise ValidationError("iterations must be >= 1 and learning rate >= 0")
+    if tcfg.warmup_mode != "model":
+        raise ValidationError(
+            f"trainer.warmup_mode must be 'model', got {tcfg.warmup_mode!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(out_dir / "config.json", cfg)

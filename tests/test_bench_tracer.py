@@ -34,7 +34,9 @@ def test_tracer_wraps_the_program_and_uninstall_restores_it(tmp_path):
         "model": {"hidden_dim": 8, "lsdmp_layers": 1, "smoothing_steps": 2,
                   "gsa_blocks": 1},
         "geodesic": {"embed_dim": 3},
-        "trainer": {"iterations": 2, "checkpoint_interval": 0, "warmup_steps": 2},
+        # the benchmark's train-desk config also sets warmup_mode
+        "trainer": {"iterations": 2, "checkpoint_interval": 0, "warmup_steps": 2,
+                    "warmup_mode": "model"},
     })
     garment_mesh = mesh.grid_cloth(4, 4)
     embedding = np.random.default_rng(0).standard_normal((16, 3))

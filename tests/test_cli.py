@@ -176,6 +176,18 @@ class TestTrainCli:
         err = capsys.readouterr().err
         assert f"{section}.{key}" in err and ">=" in err and "Traceback" not in err
 
+    def test_drift_warmup_mode_exits_2(self, tmp_path, garment_obj, capsys):
+        # "model" is the only warm-up; the key stays for configs that set it
+        cfg_path = small_config_file(tmp_path, garment_obj, iterations=1)
+        data = json.loads(cfg_path.read_text())
+        data["trainer"]["warmup_mode"] = "drift"
+        cfg_path.write_text(json.dumps(data))
+        rc = cli.main(["train", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "trainer.warmup_mode" in err and "Traceback" not in err
+
     def test_config_accepts_int_for_float_and_null_for_optional(self):
         cfg = config_from_dict({
             "physics": {"dt": 1, "weights": {"stretch": 2}},

@@ -16,10 +16,7 @@ from eslrsim.errors import DisconnectedMeshError, ValidationError
 def chain_graph(n):
     """Path topology with unit rest lengths, built without triangles."""
     edges = np.array([[i, i + 1] for i in range(n - 1)], dtype=np.intp)
-    adjacency = [np.array(sorted(
-        ([i - 1] if i > 0 else []) + ([i + 1] if i < n - 1 else [])), dtype=np.intp)
-        for i in range(n)]
-    topo = M.Topology(mesh_edges=edges, adjacency=adjacency,
+    topo = M.Topology(mesh_edges=edges, n_vertices=n,
                       dihedral_pairs=np.zeros((0, 4), dtype=np.intp))
     rest = M.RestState(edge_rest_lengths=np.ones(n - 1),
                        vertex_masses=np.ones(n),
@@ -39,9 +36,9 @@ def floyd_warshall(n, edges, weights):
 
 
 def reference_dijkstra(topo, rest):
-    """Plain all-pairs heap Dijkstra, every source run to exhaustion, with
-    the neighbour order of the module's own adjacency lists."""
-    n = len(topo.adjacency)
+    """Plain all-pairs heap Dijkstra, every source run to exhaustion; each
+    vertex's neighbours come in ascending order, as the sorted edges list them."""
+    n = topo.n_vertices
     adj = [[] for _ in range(n)]
     for (i, j), w in zip(topo.mesh_edges, rest.edge_rest_lengths):
         adj[int(i)].append((int(j), float(w)))
@@ -66,12 +63,7 @@ def reference_dijkstra(topo, rest):
 def edge_graph(n, edges, weights):
     """Topology and rest state of an arbitrary weighted graph, no triangles."""
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    nbrs = [set() for _ in range(n)]
-    for i, j in edges:
-        nbrs[i].add(int(j))
-        nbrs[j].add(int(i))
-    topo = M.Topology(mesh_edges=edges,
-                      adjacency=[np.array(sorted(a), dtype=np.intp) for a in nbrs],
+    topo = M.Topology(mesh_edges=edges, n_vertices=n,
                       dihedral_pairs=np.zeros((0, 4), dtype=np.intp))
     rest = M.RestState(np.asarray(weights, dtype=np.float64), np.ones(n), np.zeros(0))
     return topo, rest
@@ -144,10 +136,7 @@ class TestGeodesicDistances:
         edges = np.array(sorted({(min(a, b), max(a, b)) for a, b in edges}),
                          dtype=np.intp)
         weights = rng.integers(1, 9, len(edges)).astype(float)
-        adjacency = [np.array(sorted(
-            {int(b) for a, b in edges if a == i} | {int(a) for a, b in edges if b == i}),
-            dtype=np.intp) for i in range(n)]
-        topo = M.Topology(mesh_edges=edges, adjacency=adjacency,
+        topo = M.Topology(mesh_edges=edges, n_vertices=n,
                           dihedral_pairs=np.zeros((0, 4), dtype=np.intp))
         rest = M.RestState(weights, np.ones(n), np.zeros(0))
         dm = G.geodesic_distances(topo, rest)
@@ -180,7 +169,7 @@ class TestGeodesicDistances:
 
     def test_fan_vertex_matches_heap_dijkstra_bitwise(self):
         topo, rest = tie_heavy_graph(120, seed=5, hub_degree=80)
-        assert len(topo.adjacency[0]) >= 80
+        assert np.count_nonzero(topo.mesh_edges == 0) >= 80
         assert_matches_reference(G.geodesic_distances(topo, rest),
                                  reference_dijkstra(topo, rest))
 
@@ -196,9 +185,7 @@ class TestGeodesicDistances:
 
     def test_disconnected_names_smallest_component(self):
         edges = np.array([[0, 1], [2, 3], [3, 4]], dtype=np.intp)
-        adjacency = [np.array(a, dtype=np.intp)
-                     for a in ([1], [0], [3], [2, 4], [3])]
-        topo = M.Topology(mesh_edges=edges, adjacency=adjacency,
+        topo = M.Topology(mesh_edges=edges, n_vertices=5,
                           dihedral_pairs=np.zeros((0, 4), dtype=np.intp))
         rest = M.RestState(np.ones(3), np.ones(5), np.zeros(0))
         with pytest.raises(DisconnectedMeshError, match=r"2 vertices: \[0, 1\]"):

@@ -505,7 +505,7 @@ def unfused_vertex_update(lg, mesh_e, world_e, params, name):
     n = lg.plan.n_total
 
     def incident_sum(inc, feats):
-        return T.segment_sum(T.concat([feats, feats], axis=0), inc.incident, n)
+        return T.segment_sum(T.concat([feats, feats], axis=0), inc.incident.ids, n)
 
     inp = T.concat([lg.vertex_feats, incident_sum(lg.plan.edges, mesh_e),
                     incident_sum(lg.world_plan, world_e)], axis=-1)
@@ -558,7 +558,7 @@ class TestFusedAggregation:
             e = T.Tensor(lg.mesh_edge_feats.data.copy(), requires_grad=True)
             inc = lg.plan.edges
             out = L.incident_sum(inc, e) if fused else T.segment_sum(
-                T.concat([e, e], axis=0), inc.incident, 10)
+                T.concat([e, e], axis=0), inc.incident.ids, 10)
             T.backward(T.tsum(T.mul(out, T.Tensor(g))))
             results.append((out.data, e.grad))
         for fused, ref in zip(*results):

@@ -103,11 +103,10 @@ class TestTopology:
         assert len(topo.mesh_edges) == 261
         assert len(m.triangles) == 162
 
-    def test_adjacency_symmetry(self):
-        topo = M.build_topology(M.grid_cloth(6, 4))
-        for i, ns in enumerate(topo.adjacency):
-            for j in ns:
-                assert i in topo.adjacency[j]
+    def test_vertex_count_includes_isolated_vertices(self):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]], dtype=float)
+        topo = M.build_topology(M.Mesh(verts, np.array([[0, 1, 2]])))
+        assert topo.n_vertices == 4 and topo.mesh_edges.max() == 2
 
     def test_nonmanifold_edge_counted_not_paired(self):
         # three triangles sharing edge (0,1)

@@ -34,7 +34,7 @@ class TestStretch:
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         m = M.Mesh(verts, np.array([[0, 1, 2]]))
         topo = M.Topology(mesh_edges=np.array([[0, 1]], dtype=np.intp),
-                          adjacency=[np.array([1]), np.array([0]), np.array([])],
+                          n_vertices=3,
                           dihedral_pairs=np.zeros((0, 4), dtype=np.intp))
         rest = M.RestState(np.array([1.0]), np.ones(3), np.zeros(0))
         cfg = P.PhysicsConfig(k_stretch=2.0)

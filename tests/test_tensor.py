@@ -385,7 +385,50 @@ def test_incidence_sum_equals_bincount_bitwise(case):
     assert inc.sum(vals).tobytes() == inc.sum(vals).tobytes()  # reuse of the grouping
 
 
+@st.composite
+def _mapped_segments(draw):
+    """Segments over incidence rows that read value rows through a row map;
+    the values may have rows that no incidence row reads."""
+    ids, n, _ = draw(_segments())
+    n_values = draw(st.integers(1, 8))
+    rows = np.array(draw(st.lists(st.integers(0, n_values - 1), min_size=len(ids),
+                                  max_size=len(ids))), dtype=np.intp)
+    shape = (n_values,) if draw(st.booleans()) else (n_values, draw(st.integers(1, 3)))
+    vals = draw(st.lists(_signed_floats, min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    return ids, n, rows, np.array(vals, dtype=np.float64).reshape(shape)
+
+
+@given(_mapped_segments())
+@settings(max_examples=200, deadline=None)
+def test_row_map_sum_equals_sum_of_gathered_rows_bitwise(case):
+    """Empty segments, repeated ids and rows, 1-d and 2-d values and -0.0
+    entries: reading through the row map gives the bytes of gathering first."""
+    ids, n, rows, vals = case
+    mapped = T.Incidence(ids, n, rows=rows)
+    assert mapped.sum(vals).tobytes() == T.Incidence(ids, n).sum(vals[rows]).tobytes()
+
+
 class TestIncidence:
+    def test_sum_rejects_values_it_would_index_out_of_range(self):
+        with pytest.raises(ValueError, match="Incidence.sum"):
+            T.Incidence([0, 1, 1], 2).sum(np.ones((2, 3)))
+        mapped = T.Incidence([0, 1, 1], 2, rows=[0, 4, 2])
+        assert mapped.sum(np.ones(5)).tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="Incidence.sum"):
+            mapped.sum(np.ones((4, 3)))
+        with pytest.raises(ValueError, match="rows"):
+            T.Incidence([0, 1], 2, rows=[0, -1])
+        with pytest.raises(ValueError, match="rows"):
+            T.Incidence([0, 1], 2, rows=[0])
+
+    def test_id_ops_reject_a_row_map(self):
+        mapped = T.Incidence([0, 1], 2, rows=[1, 0])
+        with pytest.raises(ValueError, match="segment_sum: incidence has a row map"):
+            T.segment_sum(T.Tensor(np.ones(2)), mapped, 2)
+        with pytest.raises(ValueError, match="gather_rows: incidence has a row map"):
+            T.gather_rows(T.Tensor(np.ones(2)), mapped)
+
     def test_signed_zeros_and_empty_segments(self):
         ids = np.array([2, 2, 0])
         out = T.Incidence(ids, 4).sum(np.array([-0.0, -0.0, -0.0]))
