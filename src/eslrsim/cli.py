@@ -48,7 +48,9 @@ def cmd_preprocess(args) -> int:
         print(f"diagnostics: {topo.nonmanifold_edge_count} non-manifold edge(s) "
               f"excluded from bending", file=sys.stderr)
     rest = compute_rest_quantities(mesh, topo, cfg.mesh.density)
+    t0 = time.perf_counter()
     dist = geo.geodesic_distances(topo, rest)
+    paths_s = time.perf_counter() - t0
     emb = geo.mds_embed(dist, k=gcfg.embed_dim, max_iters=gcfg.mds_max_iters,
                         tol=gcfg.mds_tol, seed=args.seed)
     out = Path(args.out) if args.out else Path(geo.default_embedding_path(args.garment))
@@ -57,6 +59,10 @@ def cmd_preprocess(args) -> int:
     iters = len(emb.stress_history) if emb.stress_history is not None else 0
     print(f"wrote {out}: {mesh.n_vertices} vertices, k={gcfg.embed_dim}, "
           f"final stress {emb.final_stress:.6e} after {iters} iterations")
+    print(f"start stress {emb.stress_history[0]:.6e}; times: shortest paths "
+          f"{paths_s:.3f} s, classical scaling {emb.start_s:.3f} s, SMACOF "
+          f"{emb.smacof_s:.3f} s ({emb.iterations_run} iterations, "
+          f"{1e3 * emb.smacof_s / emb.iterations_run:.3f} ms each)")
     return 0
 
 

@@ -36,8 +36,10 @@ class Mesh:
             raise ValidationError(
                 f"triangle index out of range (vertex count {n}, "
                 f"max index {self.triangles.max()})")
-        areas = triangle_areas(self.vertices, self.triangles)
-        bad = np.nonzero(areas <= TRIANGLE_AREA_EPS)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = triangle_areas(self.vertices, self.triangles)
+        # an overflowing cross product gives nan (inf - inf), which is no area
+        bad = np.flatnonzero(~(areas > TRIANGLE_AREA_EPS))
         if bad.size:
             raise ValidationError(f"degenerate (zero-area) triangle at index {bad[0]}")
 

@@ -45,6 +45,39 @@ class TestPreprocess:
         stdout = capsys.readouterr().out
         assert "final stress" in stdout and "effective config" in stdout
 
+    def test_prints_start_stress_and_stage_times(self, tmp_path, garment_obj, capsys):
+        out = tmp_path / "grid.geo1"
+        rc = cli.main(["preprocess", "--garment", str(garment_obj), "--embed-dim", "2",
+                       "--out", str(out)])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        line = re.search(
+            r"^start stress (\S+); times: shortest paths (\S+) s, classical scaling "
+            r"(\S+) s, SMACOF (\S+) s \((\d+) iterations, (\S+) ms each\)$",
+            stdout, re.M)
+        assert line is not None, stdout
+        start, paths_s, start_s, smacof_s, iters, iter_ms = (
+            float(g) for g in line.groups())
+        final = float(re.search(r"final stress (\S+)", stdout).group(1))
+        emb, _ = geo.load_embedding(out)
+        assert final == float(f"{emb.final_stress:.6e}") and start >= final
+        assert 1 <= iters <= 500 and min(paths_s, start_s, smacof_s, iter_ms) >= 0
+        assert abs(iter_ms * iters - 1e3 * smacof_s) <= 1e-3 * iters + 1
+        m = M.grid_cloth(5, 5)
+        topo = M.build_topology(m)
+        ref = geo.mds_embed(geo.geodesic_distances(
+            topo, M.compute_rest_quantities(m, topo, 0.2)), k=2, seed=0)
+        assert start == float(f"{ref.stress_history[0]:.6e}")
+        assert iters == ref.iterations_run
+
+    def test_overflowing_degenerate_triangle_exits_2(self, tmp_path, capsys):
+        # collinear, with a cross product that overflows to nan
+        path = tmp_path / "huge.obj"
+        path.write_text("v 0 0 0\nv 1e200 1e200 0\nv 2e200 2e200 0\nf 1 2 3\n")
+        rc = cli.main(["preprocess", "--garment", str(path), "--embed-dim", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "degenerate" in err and "Traceback" not in err
+
     def test_printed_stress_matches_solver(self, tmp_path, capsys):
         # a triangle mesh is never exactly 1-D isometric; the printed number
         # must be the solver's converged stress (chain-graph embeddability to

@@ -213,14 +213,41 @@ class TestGeodesicDistances:
 
 
 class TestPairwiseDistances:
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("k", [2, 8, 9])
+    # vertex counts that give at least two blocks of rows and a partial last one
+    ROWS = {1: 400, 2: 300, 150: 61}
+
+    @staticmethod
+    def layout(rows, k, order):
+        rng = np.random.default_rng(1000 * k + rows)
+        if order in ("C", "F"):
+            return np.asarray(rng.standard_normal((rows, k)), order=order)
+        # every other row and column of a larger C- or F-ordered array
+        big = np.asarray(rng.standard_normal((2 * rows, 2 * k)), order=order[0])
+        return big[::2, ::2]
+
+    @pytest.mark.parametrize("order", ["C", "F", "C-strided", "F-strided"])
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 17, 33, 150])
     def test_blocked_equals_one_shot_bitwise(self, order, k):
-        # 150 rows: two full blocks and a partial one; numpy sums over k in a
-        # layout-dependent order, and the blocks must keep it
-        c = np.asarray(np.random.default_rng(k).standard_normal((150, k)), order=order)
+        # numpy sums over k pairwise when the k axis is the faster one and left
+        # to right otherwise; the blocked sums must keep that order in every
+        # block, the partial last one included
+        n = self.ROWS.get(k, 150)
+        rows = max(1, G._BLOCK_VALUES // (k * n))
+        assert n > rows and n % rows
+        c = self.layout(n, k, order)
         one_shot = np.sqrt(((c[:, None] - c[None]) ** 2).sum(-1))
         assert np.array_equal(G._pairwise_distances(c), one_shot)
+
+    def test_pairwise_sum_equals_numpy_sum_bitwise(self):
+        # numpy's pairwise summation: below 8 terms, 8 running sums up to 128,
+        # recursive halves above
+        for m in list(range(1, 40)) + [127, 128, 129, 136, 255, 256, 300, 1000]:
+            a = np.random.default_rng(m).standard_normal(m)
+            assert G._pairwise_sum(a[:, None].copy())[0] == a.sum(), m
+
+    def test_empty_and_zero_width(self):
+        assert G._pairwise_distances(np.zeros((0, 3))).shape == (0, 0)
+        assert np.array_equal(G._pairwise_distances(np.zeros((4, 0))), np.zeros((4, 4)))
 
 
 class TestStress:
@@ -294,6 +321,23 @@ class TestMdsEmbed:
         b = G.mds_embed(dm, k=3, seed=7)
         assert a.coords.tobytes() == b.coords.tobytes()
 
+    def test_guttman_matrix_bitwise_with_coincident_points(self):
+        # rows 0 and 1 coincide (pd == 0 off the diagonal); the reused buffer
+        # starts dirty, so stale values would show
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((40, 3))
+        c[1] = c[0]
+        pd = G._pairwise_distances(c)
+        d = np.abs(pd + rng.standard_normal(pd.shape) * 0.1)
+        d = (d + d.T) / 2
+        np.fill_diagonal(d, 0.0)
+        ref = np.divide(d, pd, out=np.zeros_like(pd), where=pd > 0.0)
+        np.negative(ref, out=ref)
+        np.fill_diagonal(ref, 0.0)
+        np.fill_diagonal(ref, -ref.sum(axis=1))
+        got = G._guttman_matrix(d, pd, out=np.full_like(d, np.nan))
+        assert got.tobytes() == ref.tobytes()
+
     def test_k_too_large(self):
         dm = G.DistanceMatrix(3, np.zeros((3, 3)))
         with pytest.raises(ValidationError, match="exceeds"):
@@ -336,6 +380,16 @@ class TestPreprocessBytes:
         digest = self.preprocess_digest(
             tmp_path, garment, '{"geodesic": {"mds_max_iters": 4}}')
         assert digest == "cff8059960c1f2e3d54c5fcce881a60c3fc72140356c7781f7cb951b8e0ec795"
+
+    def test_grid33_four_smacof_iterations(self, tmp_path):
+        # 1,089 rows: many blocks of pairwise distances with a partial last
+        # one, and the F-ordered classical-scaling start (digest written by
+        # the one-shot-per-block distances)
+        garment = tmp_path / "grid33.obj"
+        M.save_obj(garment, M.grid_cloth(33, 33))
+        digest = self.preprocess_digest(
+            tmp_path, garment, '{"geodesic": {"mds_max_iters": 4}}')
+        assert digest == "c6e4c4cf97a4fe5c39489ba8125003918392cb70a23cd6986b5e6e9a9f74fb62"
 
 
 class TestEmbeddingFile:

@@ -69,8 +69,11 @@ class TestParseObj:
             assert M.obj_text(v, t) == numpy_scalar_obj_text(v, t)
 
     def test_degenerate_triangle_rejected(self):
-        with pytest.raises(ValidationError, match="degenerate"):
-            M.parse_obj("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+        for text in ("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n",
+                     # the cross product overflows to inf - inf = nan
+                     "v 0 0 0\nv 1e200 1e200 0\nv 2e200 2e200 0\nf 1 2 3\n"):
+            with pytest.raises(ValidationError, match="degenerate"):
+                M.parse_obj(text)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_rejected(self, bad):
