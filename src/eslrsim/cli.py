@@ -52,13 +52,13 @@ def cmd_preprocess(args) -> int:
     dist = geo.geodesic_distances(topo, rest)
     paths_s = time.perf_counter() - t0
     emb = geo.mds_embed(dist, k=gcfg.embed_dim, max_iters=gcfg.mds_max_iters,
-                        tol=gcfg.mds_tol, seed=args.seed)
+                        seed=args.seed)
     out = Path(args.out) if args.out else Path(geo.default_embedding_path(args.garment))
     geo.save_embedding(out, emb, seed=args.seed,
                        distances=dist if args.keep_distances else None)
-    iters = len(emb.stress_history) if emb.stress_history is not None else 0
     print(f"wrote {out}: {mesh.n_vertices} vertices, k={gcfg.embed_dim}, "
-          f"final stress {emb.final_stress:.6e} after {iters} iterations")
+          f"final stress {emb.final_stress:.6e} after "
+          f"{len(emb.stress_history) - 1} iterations")
     print(f"start stress {emb.stress_history[0]:.6e}; times: shortest paths "
           f"{paths_s:.3f} s, classical scaling {emb.start_s:.3f} s, SMACOF "
           f"{emb.smacof_s:.3f} s ({emb.iterations_run} iterations, "
@@ -179,8 +179,7 @@ def cmd_eval(args) -> int:
         raise ValidationError(f"{args.scenes}: expected a JSON list of scenes")
     specs = [_build(SceneSpec, entry, f"{args.scenes}[{i}]")
              for i, entry in enumerate(raw)]
-    frames = args.frames if args.frames is not None else cfg.sim.eval_frames
-    rows = evaluate_scenes(params, cfg, specs, frames)
+    rows = evaluate_scenes(params, cfg, specs, args.frames)
     report = format_report(rows, cfg)
     Path(args.report).write_text(report, encoding="utf-8")
     print(report, end="")
@@ -190,15 +189,17 @@ def cmd_eval(args) -> int:
 
 # -- bench -------------------------------------------------------------------------
 
-def _median_time(fn, repeats: int = 5) -> float:
-    """Median wall time of `repeats` calls after one untimed warm-up call."""
+def _best_time(fn, repeats: int = 5) -> float:
+    """Shortest wall time of `repeats` calls after one untimed warm-up call.
+    Load from other processes only ever adds time, so the minimum varies
+    least from run to run."""
     fn()
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    return min(times)
 
 
 def run_bench(sizes: list[int], layer_counts: list[int], cfg: RunConfig,
@@ -231,14 +232,14 @@ def run_bench(sizes: list[int], layer_counts: list[int], cfg: RunConfig,
 
         with T.no_grad():
             lg = encode_once()
-            t_lsdmp = _median_time(lambda: lsdmp.lsdmp_forward(
+            t_lsdmp = _best_time(lambda: lsdmp.lsdmp_forward(
                 lg, params, cfg.model.lsdmp_layers, cfg.model.smoothing_steps))
-            t_gsa = _median_time(lambda: gsa_mod.gsa_forward(
+            t_gsa = _best_time(lambda: gsa_mod.gsa_forward(
                 lg.vertex_feats, embedding, params, cfg.model.gsa_blocks))
             step_times = {}
             for n_layers in layer_counts:
                 scene.cfg = _with_layers(cfg, n_layers)
-                step_times[n_layers] = _median_time(
+                step_times[n_layers] = _best_time(
                     lambda: sim.step(state, params, scene))
             scene.cfg = cfg
         results.append({"vertices": n, "lsdmp_s": t_lsdmp, "gsa_s": t_gsa,
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--scenes", required=True, help="JSON list of scene specs")
     p.add_argument("--report", required=True)
-    p.add_argument("--frames", type=int, default=None)
+    p.add_argument("--frames", type=int, default=30)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="wall-time scaling across mesh sizes")

@@ -32,7 +32,6 @@ class MeshConfig:
 class GeodesicConfig:
     embed_dim: int = _at_least(1, 8)
     mds_max_iters: int = _at_least(0, 500)
-    mds_tol: float = 1e-9
 
 
 @dataclass
@@ -47,14 +46,6 @@ class ModelConfig:
 class SimConfig:
     placement_height: float = 0.0  # garment translation along the up axis
     body_gap: float = 0.015  # body apex sits this far below the placed cloth
-    sphere_radius: float = 0.3
-    sphere_lat: int = 9
-    sphere_lon: int = 12
-    capsule_radius: float = 0.12
-    capsule_half_length: float = 0.3
-    capsule_lat: int = 9
-    capsule_lon: int = 12
-    eval_frames: int = _at_least(1, 30)
 
 
 @dataclass
@@ -70,9 +61,6 @@ class SceneSpec:
 class TrainerConfig:
     iterations: int = _at_least(1, 2000)
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     scenes: list[SceneSpec] = field(default_factory=list)
     checkpoint_interval: int = _at_least(0, 500)

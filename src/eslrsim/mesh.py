@@ -1,14 +1,13 @@
 """Triangle meshes: OBJ I/O, topology, rest-state quantities, world edges.
 
-Everything here is pure and deterministic; the spatial hash returns pairs in
-sorted order regardless of traversal, so it can be checked exactly against a
-brute-force oracle.
+Everything here is pure and deterministic; world edges come from a direct
+test of every (garment, body) pair, in sorted order, so they can be checked
+exactly against a brute-force oracle.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,73 +235,28 @@ def compute_rest_quantities(mesh: Mesh, topo: Topology, density: float) -> RestS
 
 # -- world edges -----------------------------------------------------------
 
-_CELL_OFFSETS = np.array([[dx, dy, dz]
-                          for dx in (-1, 0, 1)
-                          for dy in (-1, 0, 1)
-                          for dz in (-1, 0, 1)], dtype=np.int64)
-
-
-def _cell_keys(cells: np.ndarray) -> np.ndarray:
-    # classic xor-of-primes hash; wraparound is fine, collisions only add
-    # candidates that the exact distance check removes
-    return ((cells[:, 0] * 73856093) ^ (cells[:, 1] * 19349663)
-            ^ (cells[:, 2] * 83492791))
-
-
-def _cells(pos: np.ndarray, inv: float) -> np.ndarray:
-    # clamped so huge finite coordinates cast to defined cells; clamping never
-    # moves two points apart, so no pair within the radius is lost
-    with np.errstate(over="ignore"):
-        cells = np.floor(pos * inv)
-    return np.clip(cells, -2.0 ** 62, 2.0 ** 62, out=cells).astype(np.int64)
-
-
 def build_world_edges(garment_pos: np.ndarray, body_pos: np.ndarray,
                       radius: float) -> WorldEdgeSet:
-    """All (garment, body) pairs within `radius`, via a uniform spatial hash.
+    """All (garment, body) pairs within `radius`, sorted by (garment index,
+    body index), by a direct test of every pair.
 
-    Cell size equals the radius, so candidates live in the 27 neighboring
-    cells; body points are bucketed by hashed cell key and queried with binary
-    search. The result is sorted by (garment index, body index) and exactly
-    matches a brute-force pairwise check.
+    The cost is O(n_g * n_b) time and memory, which stays small because bodies
+    are presets (`sim.make_body_motion`) of 98 vertices each. d^2 is summed one
+    coordinate at a time, left to right as numpy sums a row of three, so the
+    result exactly matches a brute-force pairwise check.
     """
     if radius <= 0:
         raise ValidationError(f"world-edge radius must be > 0, got {radius}")
     garment_pos = np.asarray(garment_pos, dtype=np.float64)
     body_pos = np.asarray(body_pos, dtype=np.float64)
-    empty = np.zeros((0, 2), dtype=np.intp)
-    if not len(garment_pos) or not len(body_pos):
-        return WorldEdgeSet(pairs=empty, radius=radius)
-    inv = 1.0 / radius
-    body_keys = _cell_keys(_cells(body_pos, inv))
-    order = np.argsort(body_keys, kind="stable")
-    sorted_keys = body_keys[order]
-    garment_cells = _cells(garment_pos, inv)
-    g_parts, b_parts = [], []
-    for off in _CELL_OFFSETS:
-        query = _cell_keys(garment_cells + off)
-        lo = np.searchsorted(sorted_keys, query, side="left")
-        hi = np.searchsorted(sorted_keys, query, side="right")
-        counts = hi - lo
-        nz = np.nonzero(counts)[0]
-        if not len(nz):
-            continue
-        reps = counts[nz]
-        starts = lo[nz]
-        within = np.arange(reps.sum()) - np.repeat(
-            np.concatenate([[0], np.cumsum(reps)[:-1]]), reps)
-        g_parts.append(np.repeat(nz, reps))
-        b_parts.append(order[np.repeat(starts, reps) + within])
-    if not g_parts:
-        return WorldEdgeSet(pairs=empty, radius=radius)
-    gi = np.concatenate(g_parts)
-    bi = np.concatenate(b_parts)
+    d2 = np.zeros((len(garment_pos), len(body_pos)))
     with np.errstate(over="ignore"):  # an overflow to inf is out of range
-        d2 = ((garment_pos[gi] - body_pos[bi]) ** 2).sum(axis=1)
-    keep = d2 <= radius * radius
-    # unique also sorts rows and drops duplicates from hash collisions
-    pairs = np.unique(np.stack([gi[keep], bi[keep]], axis=1), axis=0)
-    return WorldEdgeSet(pairs=pairs.astype(np.intp), radius=radius)
+        for axis in range(3):
+            diff = np.subtract.outer(garment_pos[:, axis], body_pos[:, axis])
+            d2 += diff * diff
+    # nonzero walks the C-ordered mask row by row: pairs come sorted and unique
+    return WorldEdgeSet(pairs=np.stack(np.nonzero(d2 <= radius * radius), axis=1),
+                        radius=radius)
 
 
 # -- synthetic assets --------------------------------------------------------

@@ -31,6 +31,11 @@ from .mesh import (Mesh, RestState, Topology, WorldEdgeSet, build_topology,
 from .tensor import ModelParams, Tensor
 
 PRESETS = ("static_sphere", "swinging_capsule", "translating_capsule")
+# Preset body shapes, in meters. Both bodies have 2 + 8 * 12 = 98 vertices,
+# which keeps `build_world_edges`' test of every (garment, body) pair cheap.
+SPHERE_RADIUS = 0.3
+CAPSULE_RADIUS, CAPSULE_HALF_LENGTH = 0.12, 0.3
+BODY_LAT, BODY_LON = 9, 12
 
 
 @dataclass
@@ -150,14 +155,13 @@ def make_body_motion(preset: str, cfg: RunConfig, amplitude: float | None = None
     sim = cfg.sim
     apex = sim.placement_height - sim.body_gap
     if preset == "static_sphere":
-        template = uv_sphere(sim.sphere_radius, sim.sphere_lat, sim.sphere_lon,
-                             center=(0.0, apex - sim.sphere_radius, 0.0))
+        template = uv_sphere(SPHERE_RADIUS, BODY_LAT, BODY_LON,
+                             center=(0.0, apex - SPHERE_RADIUS, 0.0))
         amp = 0.0 if amplitude is None else amplitude
         freq = 0.0 if frequency is None else frequency
     elif preset in ("swinging_capsule", "translating_capsule"):
-        template = capsule(sim.capsule_radius, sim.capsule_half_length,
-                           sim.capsule_lat, sim.capsule_lon,
-                           center=(0.0, apex - sim.capsule_radius, 0.0))
+        template = capsule(CAPSULE_RADIUS, CAPSULE_HALF_LENGTH, BODY_LAT, BODY_LON,
+                           center=(0.0, apex - CAPSULE_RADIUS, 0.0))
         if preset == "swinging_capsule":
             amp = 0.5 if amplitude is None else amplitude  # radians
             freq = 0.5 if frequency is None else frequency  # Hz

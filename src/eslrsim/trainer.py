@@ -23,6 +23,9 @@ from .config import RunConfig, TrainerConfig, config_to_dict, save_config
 from .errors import TrainAbortError, ValidationError
 from .tensor import ModelParams
 
+# Adam's moment decay rates and denominator guard: Kingma and Ba's defaults
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -35,9 +38,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: AdamState, tcfg: TrainerConfig) -> AdamState:
     """Standard Adam with bias correction; mutates params and state in place."""
     state.t += 1
-    b1, b2 = tcfg.beta1, tcfg.beta2
-    c1 = 1 - b1 ** state.t
-    c2 = 1 - b2 ** state.t
+    c1 = 1 - BETA1 ** state.t
+    c2 = 1 - BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if name not in state.m:
@@ -45,11 +47,11 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        p.data = p.data - tcfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + tcfg.adam_eps)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        p.data = p.data - tcfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return state
 
 

@@ -36,6 +36,16 @@ def small_config_file(tmp_path, garment_path, iterations=2):
     return path
 
 
+# config keys that only ever took one value, now constants, with that value
+REMOVED_KEYS = [
+    ("geodesic", "mds_tol", 1e-9),
+    ("sim", "sphere_radius", 0.3), ("sim", "sphere_lat", 9), ("sim", "sphere_lon", 12),
+    ("sim", "capsule_radius", 0.12), ("sim", "capsule_half_length", 0.3),
+    ("sim", "capsule_lat", 9), ("sim", "capsule_lon", 12), ("sim", "eval_frames", 30),
+    ("trainer", "beta1", 0.9), ("trainer", "beta2", 0.999), ("trainer", "adam_eps", 1e-8),
+]
+
+
 class TestPreprocess:
     def test_writes_embedding_and_prints_stress(self, tmp_path, garment_obj, capsys):
         out = tmp_path / "grid.geo1"
@@ -69,6 +79,25 @@ class TestPreprocess:
             topo, M.compute_rest_quantities(m, topo, 0.2)), k=2, seed=0)
         assert start == float(f"{ref.stress_history[0]:.6e}")
         assert iters == ref.iterations_run
+
+    @pytest.mark.parametrize("budget", [3, 500])
+    def test_prints_accepted_iteration_count(self, tmp_path, garment_obj, capsys,
+                                             budget):
+        cfg_path = tmp_path / "budget.json"
+        cfg_path.write_text(json.dumps({"geodesic": {"mds_max_iters": budget}}))
+        out = tmp_path / "grid.geo1"
+        assert cli.main(["preprocess", "--garment", str(garment_obj), "--embed-dim",
+                         "2", "--out", str(out), "--config", str(cfg_path)]) == 0
+        printed = int(re.search(r"after (\d+) iterations",
+                                capsys.readouterr().out).group(1))
+        m = M.grid_cloth(5, 5)
+        topo = M.build_topology(m)
+        ref = geo.mds_embed(geo.geodesic_distances(
+            topo, M.compute_rest_quantities(m, topo, 0.2)), k=2, max_iters=budget)
+        assert 1 <= printed == len(ref.stress_history) - 1 <= budget
+        # the header counts stress values, the start's included
+        header = json.loads(out.read_bytes().split(b"\n", 2)[1])
+        assert header["iterations"] == printed + 1
 
     def test_overflowing_degenerate_triangle_exits_2(self, tmp_path, capsys):
         # collinear, with a cross product that overflows to nan
@@ -174,8 +203,12 @@ class TestTrainCli:
         ({"model": {"hidden_dim": True}}, "model.hidden_dim"),
         # a removed key, as echoed by configs and checkpoints from before
         ({"model": {"standardize_embedding": False}}, "standardize_embedding"),
-        ({"sim": {"sphere_radius": "0.3"}}, "sim.sphere_radius"),
+        ({"sim": {"body_gap": "0.015"}}, "sim.body_gap"),
         ({"physics": {"weights": {"stretch": "1"}}}, "physics.weights.stretch"),
+    ] + [
+        # keys made constants, as echoed by configs and checkpoints from before
+        ({section: {key: value}}, f"unknown config key(s) ['{key}'] under '{section}'")
+        for section, key, value in REMOVED_KEYS
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, bad, named):
         cfg_path = tmp_path / "bad.json"
@@ -433,6 +466,9 @@ class TestFileHeaders:
         pytest.param(lambda h: {**h, "config": {**h["config"], "model": {
             **h["config"]["model"], "hidden_dim": h["config"]["model"]["hidden_dim"] + 1}}},
                      "shape", id="config-hidden-dim"),
+        pytest.param(lambda h: {**h, "config": {**h["config"], "trainer": {
+            **h["config"]["trainer"], "beta1": 0.9}}},
+                     "unknown config key(s) ['beta1'] under 'trainer'", id="removed-key"),
     ])
     def test_bad_checkpoint_header_exits_2(self, tmp_path, garment_obj, trained,
                                            capsys, edit, named):

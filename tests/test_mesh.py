@@ -200,6 +200,27 @@ class TestWorldEdges:
             expected = np.argwhere(d <= radius)
             assert np.array_equal(ws.pairs, expected)
 
+    @pytest.mark.parametrize("g, b, radius, expected", [
+        # d^2 = 9 + 16 + 144 = 169 is exact, so the pair lies exactly on the radius
+        pytest.param([[1, 2, 3], [0, 0, 0]], [[4, 6, 15], [1, 2, 3]], 13.0,
+                     [[0, 0], [0, 1], [1, 1]], id="exactly-at-radius"),
+        pytest.param([[0.5, 0.5, 0.5]] * 2, [[0.5, 0.5, 0.5], [9, 9, 9], [0.5, 0.5, 0.5]],
+                     0.1, [[0, 0], [0, 2], [1, 0], [1, 2]], id="coincident"),
+        pytest.param(np.zeros((0, 3)), [[0, 0, 0]], 1.0, [], id="empty-garment"),
+        pytest.param([[0, 0, 0]], np.zeros((0, 3)), 1.0, [], id="empty-body"),
+        # every other row and column of wider arrays: strided, non-contiguous views
+        pytest.param((np.arange(48.0).reshape(8, 6) / 10)[::2, ::2],
+                     (np.arange(36.0).reshape(6, 6) / 10)[::2, 1::2], 0.35,
+                     [[0, 0], [1, 1], [2, 2]], id="strided"),
+    ])
+    def test_edge_cases(self, g, b, radius, expected):
+        g, b = np.asarray(g, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        ws = M.build_world_edges(g, b, radius)
+        d = np.linalg.norm(g[:, None, :] - b[None, :, :], axis=2)
+        assert ws.pairs.dtype == np.intp
+        assert np.array_equal(ws.pairs, np.reshape(expected, (-1, 2)))
+        assert np.array_equal(ws.pairs, np.argwhere(d <= radius))
+
     def test_sorted_and_unique(self):
         rng = np.random.default_rng(1)
         ws = M.build_world_edges(rng.random((50, 3)), rng.random((60, 3)), 0.3)
@@ -208,9 +229,8 @@ class TestWorldEdges:
 
 
     def test_huge_finite_coordinates_match_brute_force(self):
-        # cells beyond int64 are clamped, not cast to undefined values; a body
-        # point in the same clamped cell but far away is dropped by the exact
-        # check, whose overflow to inf is silent
+        # differences and squares that overflow to inf are out of range, and
+        # the overflow is silent; pairs far from the origin are still found
         rng = np.random.default_rng(7)
         g = np.concatenate([rng.random((30, 3)),
                             [[1e300, 0, 0], [-1e300, 0.5, 0.5], [0, 1.7e308, -1e300],
@@ -240,12 +260,21 @@ class TestVertexNormals:
         assert np.array_equal(n[3], np.zeros(3))
 
 
-@given(st.integers(0, 10 ** 6), st.floats(0.05, 0.5))
+@given(st.integers(0, 10 ** 6), st.floats(0.05, 0.5), st.booleans(), st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_world_edges_match_brute_force_property(seed, radius):
+def test_world_edges_match_brute_force_property(seed, radius, lattice, strided):
     rng = np.random.default_rng(seed)
-    g = rng.random((rng.integers(1, 40), 3))
-    b = rng.random((rng.integers(1, 40), 3))
+
+    def points():
+        # three of six columns when strided: a non-contiguous view
+        shape = (rng.integers(0, 40), 6 if strided else 3)
+        if lattice:  # integer coordinates: every d^2 is exact, many on the radius
+            return rng.integers(0, 4, shape).astype(np.float64)[:, ::shape[1] // 3]
+        return rng.random(shape)[:, ::shape[1] // 3]
+
+    g, b = points(), points()
+    if lattice:
+        radius = float(np.ceil(6 * radius))  # 1, 2 or 3 lattice units
     ws = M.build_world_edges(g, b, radius)
     d = np.linalg.norm(g[:, None, :] - b[None, :, :], axis=2)
     assert np.array_equal(ws.pairs, np.argwhere(d <= radius))
