@@ -1,14 +1,16 @@
 """Run configuration: one nested schema mirroring every module's knobs.
 
 Loaded from JSON; unknown keys are rejected at every level, every scalar must
-have its field's type, counts must lie in their range, every key has a
-default, and the effective config is echoed into each output directory.
+have its field's type, floats must be finite, counts must lie in their range,
+every key has a default, and the effective config is echoed into each output
+directory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 from dataclasses import dataclass, field
 
@@ -31,7 +33,7 @@ class MeshConfig:
 @dataclass
 class GeodesicConfig:
     embed_dim: int = _at_least(1, 8)
-    mds_max_iters: int = _at_least(0, 500)
+    mds_max_iters: int = _at_least(1, 500)
 
 
 @dataclass
@@ -93,6 +95,8 @@ def _check_scalar(value, hint, path):
     if isinstance(value, bool) != (base is bool) or not isinstance(value, _ACCEPTS[base]):
         raise ValidationError(
             f"config key '{path}' must be {base.__name__}, got {value!r}")
+    if base is float and not abs(value) <= sys.float_info.max:  # nan, inf, huge int
+        raise ValidationError(f"config key '{path}' must be a finite float, got {value!r}")
 
 
 def _build(cls, data, path):
@@ -154,7 +158,7 @@ def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # also non-UTF-8 bytes, deep nesting
             raise ValidationError(f"{path}: invalid JSON config: {e}") from None
     return config_from_dict(data)
 

@@ -62,16 +62,17 @@ class TestPreprocess:
         assert rc == 0
         stdout = capsys.readouterr().out
         line = re.search(
-            r"^start stress (\S+); times: shortest paths (\S+) s, classical scaling "
-            r"(\S+) s, SMACOF (\S+) s \((\d+) iterations, (\S+) ms each\)$",
-            stdout, re.M)
+            r"^start stress (\S+); times: mesh load (\S+) s, shortest paths (\S+) s, "
+            r"classical scaling (\S+) s, SMACOF (\S+) s \((\d+) iterations, (\S+) ms "
+            r"each\)$", stdout, re.M)
         assert line is not None, stdout
-        start, paths_s, start_s, smacof_s, iters, iter_ms = (
+        start, load_s, paths_s, start_s, smacof_s, iters, iter_ms = (
             float(g) for g in line.groups())
         final = float(re.search(r"final stress (\S+)", stdout).group(1))
         emb, _ = geo.load_embedding(out)
         assert final == float(f"{emb.final_stress:.6e}") and start >= final
-        assert 1 <= iters <= 500 and min(paths_s, start_s, smacof_s, iter_ms) >= 0
+        assert 1 <= iters <= 500
+        assert min(load_s, paths_s, start_s, smacof_s, iter_ms) >= 0
         assert abs(iter_ms * iters - 1e3 * smacof_s) <= 1e-3 * iters + 1
         m = M.grid_cloth(5, 5)
         topo = M.build_topology(m)
@@ -205,6 +206,12 @@ class TestTrainCli:
         ({"model": {"standardize_embedding": False}}, "standardize_embedding"),
         ({"sim": {"body_gap": "0.015"}}, "sim.body_gap"),
         ({"physics": {"weights": {"stretch": "1"}}}, "physics.weights.stretch"),
+        # SMACOF needs at least one iteration
+        ({"geodesic": {"mds_max_iters": 0}}, "geodesic.mds_max_iters"),
+        # a float field takes finite values only; an int beyond float64 too large
+        ({"mesh": {"density": float("nan")}}, "mesh.density"),
+        ({"physics": {"dt": float("inf")}}, "physics.dt"),
+        ({"physics": {"weights": {"stretch": 10 ** 400}}}, "physics.weights.stretch"),
     ] + [
         # keys made constants, as echoed by configs and checkpoints from before
         ({section: {key: value}}, f"unknown config key(s) ['{key}'] under '{section}'")
@@ -593,3 +600,77 @@ def test_mutated_obj_preprocess_exits_cleanly(fuzz_dir, text):
     if rc == 0:
         emb, _ = geo.load_embedding(out)
         assert np.isfinite(emb.coords).all() and np.isfinite(emb.final_stress)
+
+
+# -- fuzz: mutated config bytes through `preprocess` ---------------------------
+
+CONFIG_BYTES = json.dumps({
+    "mesh": {"density": 0.2, "world_edge_radius_factor": 1.5, "world_edge_radius": 0.0},
+    "geodesic": {"embed_dim": 2, "mds_max_iters": 60},
+    "model": {"hidden_dim": 8, "lsdmp_layers": 1, "smoothing_steps": 1, "gsa_blocks": 1},
+    "physics": {"dt": 0.05, "k_stretch": 50.0, "up_axis": 1,
+                "weights": {"stretch": 1.0, "gravity": 1.0}},
+    "sim": {"placement_height": 0.0, "body_gap": 0.015},
+    "trainer": {"iterations": 2, "learning_rate": 1e-4, "warmup_mode": "model",
+                "scenes": [{"garment": "g.obj", "body": "static_sphere",
+                            "amplitude": None}]},
+}).encode()
+
+# fragments a mutation splices in: JSON syntax, non-finite and huge numbers
+# (an integer beyond float64, one beyond Python's 4,300-digit parsing limit),
+# wrong types and bytes that are not UTF-8
+CONFIG_FRAGMENTS = [b"", b'"', b"{", b"}", b"[", b"]", b",", b":", b"-", b".", b"e",
+                    b"0", b"9", b"1e999", b"-1e999", b"NaN", b"Infinity", b"9" * 30,
+                    b"9" * 400, b"9" * 5000, b"null", b"true", b"[]", b"{}", b'"x"',
+                    b"\xff", b"\xc3", b"\x00", b'{"a": 1}']
+
+
+@st.composite
+def mutated_config(draw):
+    """The config's bytes after one to three splices of a fragment or of a
+    slice of the config itself."""
+    data = CONFIG_BYTES
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 8)))
+        if draw(st.booleans()):
+            piece = draw(st.sampled_from(CONFIG_FRAGMENTS))
+        else:  # a slice of the config: duplicates keys, sections and numbers
+            at = draw(st.integers(0, len(data)))
+            piece = data[at:at + draw(st.integers(1, 40))]
+        data = data[:start] + piece + data[stop:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config-fuzz")
+    M.save_obj(path / "grid.obj", M.grid_cloth(3, 3))
+    return path
+
+
+@given(data=mutated_config())
+@settings(max_examples=200, deadline=None)
+def test_mutated_config_preprocess_exits_cleanly(config_fuzz_dir, data):
+    cfg_path, out = config_fuzz_dir / "config.json", config_fuzz_dir / "grid.geo1"
+    cfg_path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["preprocess", "--garment", str(config_fuzz_dir / "grid.obj"),
+                       "--config", str(cfg_path), "--out", str(out)])
+    # a config is user input: a bad one is a validation failure, never exit 1
+    assert rc in (0, 2) and "Traceback" not in err.getvalue()
+    assert out.exists() == (rc == 0)
+
+
+@pytest.mark.parametrize("data", [b'{"mesh": {"density": 0.2\xff}}',
+                                  b'{"mesh": {"density": 1' + b"0" * 5000 + b"}}",
+                                  b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "integer-over-4300-digits", "nested-too-deep"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, garment_obj, capsys, data):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(data)
+    rc = cli.main(["preprocess", "--garment", str(garment_obj), "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"{cfg_path}: invalid JSON config" in err

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eslrsim import mesh as M
+from eslrsim import sim
+from eslrsim.config import RunConfig
 from eslrsim.errors import ObjParseError, ValidationError
+from test_cli import mutated_obj
 
 TRI_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
 
@@ -278,3 +281,193 @@ def test_world_edges_match_brute_force_property(seed, radius, lattice, strided):
     ws = M.build_world_edges(g, b, radius)
     d = np.linalg.norm(g[:, None, :] - b[None, :, :], axis=2)
     assert np.array_equal(ws.pairs, np.argwhere(d <= radius))
+
+
+# -- differential tests: the load path against its per-element reference ------
+
+def reference_parse_obj(text, kind="garment"):
+    """The line-at-a-time parser that the bulk `parse_obj` replaced."""
+    vertices, triangles = [], []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        key = tokens[0]
+        if key == "v":
+            if len(tokens) < 4:
+                raise ObjParseError(line_no, f"vertex needs 3 coordinates: {raw!r}")
+            try:
+                vertices.append([float(t) for t in tokens[1:4]])
+            except ValueError:
+                raise ObjParseError(line_no, f"bad vertex coordinate: {raw!r}") from None
+        elif key == "f":
+            if len(tokens) < 4:
+                raise ObjParseError(line_no, f"face needs at least 3 indices: {raw!r}")
+            try:
+                idx = [int(t.split("/")[0]) for t in tokens[1:]]
+            except ValueError:
+                raise ObjParseError(line_no, f"bad face index: {raw!r}") from None
+            for i in idx:
+                if i < 1 or i > len(vertices):
+                    raise ObjParseError(
+                        line_no, f"face index {i} out of range (have {len(vertices)} vertices)")
+            zero = [i - 1 for i in idx]
+            for k in range(1, len(zero) - 1):
+                triangles.append((zero[0], zero[k], zero[k + 1]))
+        elif key in ("vn", "vt", "s", "o", "g", "usemtl", "mtllib", "l"):
+            continue
+        else:
+            raise ObjParseError(line_no, f"unsupported OBJ keyword {key!r}")
+    return M.Mesh(np.array(vertices, dtype=np.float64).reshape(-1, 3),
+                  np.array(triangles, dtype=np.intp).reshape(-1, 3), kind=kind)
+
+
+def reference_build_topology(mesh):
+    """The dict-of-lists edge deduplication that the sort in `build_topology`
+    replaced."""
+    opposite = {}
+    for tri in mesh.triangles:
+        for a, b, c in ((tri[0], tri[1], tri[2]),
+                        (tri[1], tri[2], tri[0]),
+                        (tri[2], tri[0], tri[1])):
+            key = (int(a), int(b)) if a < b else (int(b), int(a))
+            opposite.setdefault(key, []).append(int(c))
+    edges = np.array(sorted(opposite), dtype=np.intp).reshape(-1, 2)
+    dihedral, nonmanifold = [], 0
+    for i, j in edges:
+        opp = opposite[(int(i), int(j))]
+        if len(opp) == 2:
+            dihedral.append((int(i), int(j), opp[0], opp[1]))
+        elif len(opp) > 2:
+            nonmanifold += 1
+    return M.Topology(mesh_edges=edges, n_vertices=mesh.n_vertices,
+                      dihedral_pairs=np.array(dihedral, dtype=np.intp).reshape(-1, 4),
+                      nonmanifold_edge_count=nonmanifold)
+
+
+def outcome(parse, text):
+    """Bytes of an accepted mesh, or the type, line and message of the error."""
+    try:
+        m = parse(text)
+    except ValidationError as e:
+        return ("error", type(e), getattr(e, "line_no", None), str(e))
+    return ("mesh", m.kind, m.vertices.dtype, m.vertices.shape, m.vertices.tobytes(),
+            m.triangles.dtype, m.triangles.shape, m.triangles.tobytes())
+
+
+def assert_same_topology(topo, ref):
+    for name in ("mesh_edges", "dihedral_pairs"):
+        got, want = getattr(topo, name), getattr(ref, name)
+        assert got.dtype == want.dtype == np.intp, name
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    assert topo.n_vertices == ref.n_vertices
+    assert topo.nonmanifold_edge_count == ref.nonmanifold_edge_count
+    assert type(topo.nonmanifold_edge_count) is int
+
+
+@st.composite
+def edited_obj(draw):
+    """A mutated grid OBJ from the CLI fuzz, after up to four more edits:
+    comments, `/` suffixes, n-gons, forward face references, huge integers,
+    underscore and non-ASCII number tokens, and stray whitespace or keywords."""
+    lines = draw(mutated_obj()).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        faces = [i for i, line in enumerate(lines) if line.startswith("f ")]
+        verts = [i for i, line in enumerate(lines) if line.startswith("v ")]
+        kind = draw(st.sampled_from(["comment", "slash", "ngon", "forward", "number",
+                                     "line"]))
+        row = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if kind == "comment":
+            comment = draw(st.sampled_from(["# x", "#", "#f 1 2 3", "# a/b", "v 1 2 3 #"]))
+            if lines and draw(st.booleans()):
+                lines[row] += draw(st.sampled_from(["", " "])) + comment
+            else:
+                lines.insert(row, comment)
+        elif kind == "slash" and faces:
+            row = draw(st.sampled_from(faces))
+            tokens = lines[row].split()
+            at = draw(st.integers(1, len(tokens) - 1))
+            tokens[at] += draw(st.sampled_from(["/1", "//2", "/1/1", "/", "/x"]))
+            if draw(st.booleans()):
+                tokens[at] = draw(st.sampled_from(["/3", "//", "x/1"]))
+            lines[row] = " ".join(tokens)
+        elif kind == "ngon" and faces:
+            row = draw(st.sampled_from(faces))
+            extra = draw(st.lists(st.integers(1, len(verts) + 1), min_size=1, max_size=4))
+            lines[row] += "".join(f" {i}" for i in extra)
+        elif kind == "forward" and faces:
+            lines.insert(draw(st.integers(0, len(lines))), lines[draw(st.sampled_from(faces))])
+        elif kind == "number" and (faces or verts):
+            row = draw(st.sampled_from(faces + verts))
+            tokens = lines[row].split()
+            tokens[draw(st.integers(1, len(tokens) - 1))] = draw(st.sampled_from([
+                "9" * 20, "-" + "9" * 25, "9223372036854775807", "9223372036854775808",
+                "-9223372036854775809", "1" + "0" * 19, "1_0", "1__0", "_1", "1_",
+                "1_0.5", "1e1_0", "+2", "-0", "02", "١", "٣.5", "1" * 5000,
+                "0.5", "1e3"]))
+            lines[row] = " ".join(tokens)
+        elif kind == "line":
+            lines.insert(row, draw(st.sampled_from([
+                "", "   ", "\t", "vn 0 0 1", "vt 0 0", "s off", "o cloth", "F 1 2 3",
+                "vp 1", "v 1 2", "f 1 2", "v 1 2 3 4", "v\t0\t0\t0", "l 1 2",
+                "v 0 0 0\x0bf 1 2 3", "f 1 2 3\x1cf 2 3 4", "　v 1 1 1"])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@given(text=edited_obj())
+@settings(max_examples=300, deadline=None)
+def test_parse_obj_matches_reference_property(text):
+    assert outcome(M.parse_obj, text) == outcome(reference_parse_obj, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "# only a comment\n", TRI_OBJ, TRI_OBJ + "f 1 2 4\n", "f 1 2 3\n" + TRI_OBJ,
+    TRI_OBJ.replace("f 1 2 3", "f 1 2 x 9"), TRI_OBJ.replace("f 1 2 3", "f 9 2 x"),
+    TRI_OBJ.replace("v 1 0 0", "v 1 x 0") + "bogus\n",
+    TRI_OBJ + "f 1 2 3 9" * 1 + "\nv 1 e 1\n",
+    TRI_OBJ.replace("f 1 2 3", "f 1 2 " + "9" * 30),
+    TRI_OBJ.replace("f 1 2 3", "f 1 2 3 " + "9" * 5000),
+    TRI_OBJ.replace("v 0 1 0", "v 0 1_0 0").replace("f 1 2 3", "f 1_0 2 3"),
+    "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0 2 0\nf 1/1/1 2//2 3 4/4 5\n",
+], ids=range(14))
+def test_parse_obj_matches_reference_cases(text):
+    assert outcome(M.parse_obj, text) == outcome(reference_parse_obj, text)
+
+
+@st.composite
+def triangle_soup(draw):
+    """A mesh of random points and triangles, with duplicate (and reoriented)
+    triangles, non-manifold fans around one edge, isolated vertices or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(3, 30))
+    n_tris = draw(st.integers(0, 40))
+    tris = [rng.choice(n, 3, replace=False) for _ in range(n_tris)]
+    if tris and draw(st.booleans()):  # duplicates, some with a rotated or flipped order
+        for t in rng.choice(len(tris), draw(st.integers(1, 5))):
+            tris.append(np.roll(tris[t], rng.integers(3))[::rng.choice([1, -1])])
+    if draw(st.booleans()):  # a fan of 3-6 triangles sharing edge (i, j)
+        i, j = rng.choice(n, 2, replace=False)
+        others = [k for k in range(n) if k not in (i, j)]
+        for k in rng.choice(others, min(len(others), draw(st.integers(3, 6))),
+                            replace=False):
+            tris.append(np.array([i, j, k] if rng.random() < 0.5 else [j, i, k]))
+    rng.shuffle(tris)
+    return M.Mesh(rng.random((n, 3)), np.array(tris, dtype=np.intp).reshape(-1, 3))
+
+
+@given(mesh=triangle_soup())
+@settings(max_examples=150, deadline=None)
+def test_build_topology_matches_reference_property(mesh):
+    assert_same_topology(M.build_topology(mesh), reference_build_topology(mesh))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: M.grid_cloth(45, 45),
+    lambda: M.Mesh(np.eye(3), np.zeros((0, 3), dtype=np.intp)),
+    lambda: sim.make_body_motion("static_sphere", RunConfig()).template,
+    lambda: sim.make_body_motion("swinging_capsule", RunConfig()).template,
+], ids=["grid-45x45", "no-triangles", "sphere-preset", "capsule-preset"])
+def test_build_topology_matches_reference_exactly(make):
+    mesh = make()
+    assert_same_topology(M.build_topology(mesh), reference_build_topology(mesh))
