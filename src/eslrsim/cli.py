@@ -62,7 +62,8 @@ def cmd_preprocess(args) -> int:
           f"final stress {emb.final_stress:.6e} after "
           f"{len(emb.stress_history) - 1} iterations")
     print(f"start stress {emb.stress_history[0]:.6e}; times: mesh load {load_s:.3f} s, "
-          f"shortest paths {paths_s:.3f} s, classical scaling {emb.start_s:.3f} s, "
+          f"shortest paths {paths_s:.3f} s, classical scaling {emb.start_s:.3f} s "
+          f"({emb.start_method}), "
           f"SMACOF {emb.smacof_s:.3f} s ({emb.iterations_run} iterations, "
           f"{1e3 * emb.smacof_s / emb.iterations_run:.3f} ms each)")
     return 0

@@ -23,14 +23,20 @@ Cost model, for n vertices, E edges and embedding width k:
   arrays. The slices are added in numpy's own summation order (see
   `_pairwise_distances`), so every `.geo1` byte is that of the one-shot
   expression, which spent more time in a `sum` call per pair than in adds.
+- The classical-scaling start is O(n^2) above 512 vertices: the Gram is
+  centred in place, and a block subspace iteration of k + 16 columns makes
+  one (n, n) x (n, k + 16) product per iteration (21-23 iterations on grids
+  at k = 8). Up to 512 vertices it stays two dense n^3 products and a full
+  `eigh`, whose bytes the small embeddings keep (see `_classical_scaling`).
 
 On a 2,025-vertex grid with 4 SMACOF iterations and one BLAS thread (2-core
-x86-64 VM), the sweep takes about 0.8 s, the classical-scaling start (dense
-Gram products and a full `eigh`) about 2.1 s and each SMACOF iteration about
-0.16 s (0.33 s when each block of rows was summed by numpy). At 100 vertices
-an iteration takes 0.32 ms (0.98 ms). A fresh process running `preprocess`
-there peaks at 230 MB (`ru_maxrss`); the centring matrix is freed before
-`eigh`, which saves 33 MB.
+x86-64 VM), the sweep takes about 0.8 s, the subspace start about 0.3 s (the
+dense one 1.9 s) and each SMACOF iteration about 0.15 s (0.33 s when each
+block of rows was summed by numpy). At 100 vertices an iteration takes
+0.32 ms (0.98 ms). A fresh process running `preprocess` there peaks at 167 MB
+(`ru_maxrss`), against 230 MB with the dense start. At 8,100 vertices the
+subspace start takes 4.4 s against 151 s, and the process peaks at 2.05 GB
+against 3.07 GB.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ class GeodesicEmbedding:
     final_stress: float
     stress_history: np.ndarray | None = None  # accepted stress per iteration
     start_s: float = 0.0  # wall time of the classical-scaling start
+    start_method: str = "dense"  # how the start was found (`_classical_scaling`)
     smacof_s: float = 0.0  # wall time of SMACOF, the start's stress included
     iterations_run: int = 0  # SMACOF iterations, a rejected last one included
 
@@ -213,9 +220,38 @@ def stress(coords: np.ndarray, dist: DistanceMatrix) -> float:
     return _raw_stress(dist.d, _pairwise_distances(coords))
 
 
-def _classical_scaling(d: np.ndarray, k: int) -> np.ndarray:
-    """Torgerson initialization: eigendecomposition of the double-centered Gram."""
+# The subspace start overtakes the dense one near 300 vertices at k = 8 (one
+# BLAS thread: 14 against 13 ms at 324, 41 against 17 ms at 512); the cut sits
+# above the 100- and 400-vertex grids so that their starts keep their bytes.
+_SUBSPACE_MIN_N = 512
+_SUBSPACE_EXTRA = 16  # block columns beyond k
+_SUBSPACE_TOL = 1e-10  # Ritz residual bound, relative to the top Ritz value
+_SUBSPACE_MAX_ITERS = 300
+
+
+def _classical_scaling(d: np.ndarray, k: int) -> tuple[np.ndarray, str]:
+    """Torgerson start: the top k eigenpairs (by value) of the double-centred
+    Gram -d*d/2, as coordinates, and how they were found.
+
+    Up to `_SUBSPACE_MIN_N` vertices, or when the block would not be narrow
+    (k + 16 >= n / 4), a dense product with the centring matrix and a full
+    `eigh` ("dense"; its bytes are those of every earlier version). Above it
+    the Gram is centred in place by its row means, O(n^2), and a block
+    subspace iteration of k + 16 columns from a fixed-seed Gaussian start
+    runs until each top-k Ritz pair has residual ||g u - u theta|| <=
+    1e-10 * |theta_1| ("subspace, m iterations"). The block holds the
+    eigenvalues largest in magnitude, and a negative one can outweigh a
+    positive one (on a 45x45 grid lambda_min = -42.8 against lambda_3 =
+    23.6), so the result also needs a Ritz value smaller in magnitude than
+    theta_k: then no positive eigenvalue above theta_k was crowded out. A
+    failed check or `_SUBSPACE_MAX_ITERS` iterations fall back to the dense
+    path."""
     n = d.shape[0]
+    method = "dense"
+    if n > _SUBSPACE_MIN_N and k + _SUBSPACE_EXTRA < n / 4:
+        coords, method = _subspace_scaling(d, k)
+        if coords is not None:
+            return coords, method
     j = np.eye(n) - np.ones((n, n)) / n
     gram = -0.5 * j @ (d * d) @ j
     del j  # not read again; frees n x n before eigh's copy and workspace
@@ -225,7 +261,34 @@ def _classical_scaling(d: np.ndarray, k: int) -> np.ndarray:
     coords = v[:, order] * np.sqrt(lam)
     if coords.shape[1] < k:
         coords = np.pad(coords, ((0, 0), (0, k - coords.shape[1])))
-    return coords
+    return coords, method
+
+
+def _subspace_scaling(d: np.ndarray, k: int) -> tuple[np.ndarray | None, str]:
+    """`_classical_scaling`'s subspace path: the coordinates, or None and the
+    reason to fall back to the dense path."""
+    n = d.shape[0]
+    g = d * d
+    mean = g.mean(axis=1)  # d is exactly symmetric: the column means too
+    g -= mean[:, None]
+    g -= mean
+    g += mean.mean()
+    g *= -0.5
+    rng = np.random.default_rng(0)  # independent of --seed, as the dense start is
+    q = np.linalg.qr(rng.standard_normal((n, k + _SUBSPACE_EXTRA)))[0]
+    for it in range(1, _SUBSPACE_MAX_ITERS + 1):
+        z = g @ q
+        theta, s = np.linalg.eigh(q.T @ z)
+        theta, s = theta[::-1], s[:, :-k - 1:-1]  # by value, descending; top k vectors
+        top = theta[:k]
+        u = q @ s
+        r = z @ s - u * top
+        if np.all(np.linalg.norm(r, axis=0) <= _SUBSPACE_TOL * abs(top[0])):
+            if top[-1] > 0 and np.any(np.abs(theta) < top[-1]):
+                return u * np.sqrt(top), f"subspace, {it} iterations"
+            return None, f"dense, subspace check failed after {it} iterations"
+        q = np.linalg.qr(z)[0]
+    return None, f"dense, subspace unconverged after {_SUBSPACE_MAX_ITERS} iterations"
 
 
 def _guttman_matrix(d: np.ndarray, pd: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -261,10 +324,11 @@ def mds_embed(dist: DistanceMatrix, k: int, max_iters: int = 500,
     d = dist.d
     n = dist.n
     t0 = time.perf_counter()
-    coords = _classical_scaling(d, k)
+    coords, method = _classical_scaling(d, k)
     if not np.all(np.isfinite(coords)) or (n > 1 and np.ptp(coords) < 1e-300):
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0.0, max(float(d.max()), 1.0), size=(n, k))
+        method = f"seeded random, after {method}"
     t1 = time.perf_counter()
     pd = _pairwise_distances(coords)
     s_prev = _raw_stress(d, pd)
@@ -284,6 +348,7 @@ def mds_embed(dist: DistanceMatrix, k: int, max_iters: int = 500,
         s_prev = s_new
     return GeodesicEmbedding(k=k, coords=coords, final_stress=s_prev,
                              stress_history=np.array(history), start_s=t1 - t0,
+                             start_method=method,
                              smacof_s=time.perf_counter() - t1, iterations_run=run)
 
 

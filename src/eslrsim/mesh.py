@@ -9,7 +9,10 @@ conversion (`parse_obj`) and one O(T log T) stable sort of the 3T half-edges
 of T triangles (`build_topology`). On a 2-core x86-64 VM (numpy 2.4.6, one thread)
 `load_obj`, `build_topology` and `compute_rest_quantities` take 4.6, 0.4 and
 1.4 ms for a 45x45 grid (2,025 vertices) and 39, 2.9 and 12 ms for a
-128x128 grid (16,384 vertices).
+128x128 grid (16,384 vertices). Writing the hinge angles' cross products out
+over component rows (`_cross`) later took `dihedral_angles` there from 17-22
+to 3.9-4.7 ms and `compute_rest_quantities` from 27-35 to 13-18 ms (medians
+of 15 calls, on a slower phase of the VM), with the same bytes.
 """
 
 from __future__ import annotations
@@ -247,18 +250,29 @@ def dihedral_angles(positions: np.ndarray, dihedral_pairs: np.ndarray) -> np.nda
     """
     if len(dihedral_pairs) == 0:
         return np.zeros(0)
-    xi = positions[dihedral_pairs[:, 0]]
-    xj = positions[dihedral_pairs[:, 1]]
-    xp = positions[dihedral_pairs[:, 2]]
-    xq = positions[dihedral_pairs[:, 3]]
+    x = np.take(np.ascontiguousarray(positions.T), dihedral_pairs.T, axis=1)
+    xi, xj, xp, xq = x.transpose(1, 0, 2)  # each (3, D): one row per coordinate
     e = xj - xi
-    n1 = np.cross(e, xp - xi)
-    n2 = np.cross(xq - xi, e)
-    # atan2 of (n1 x n2).e against (n1.n2)|e| is scale-free in |n1||n2||e|
-    sin_term = (np.cross(n1, n2) * e).sum(axis=1)
-    cos_term = (n1 * n2).sum(axis=1) * np.linalg.norm(e, axis=1)
+    n1 = _cross(e, xp - xi)
+    n2 = _cross(xq - xi, e)
+    # atan2 of (n1 x n2).e against (n1.n2)|e| is scale-free in |n1||n2||e|;
+    # the sums over axis 0 add the components left to right, as `sum(axis=1)`
+    # and `norm(axis=1)` do on (D, 3) rows
+    sin_term = (_cross(n1, n2) * e).sum(axis=0)
+    cos_term = (n1 * n2).sum(axis=0) * np.sqrt((e * e).sum(axis=0))
     theta = np.pi - np.arctan2(sin_term, cos_term)
     return np.mod(theta, 2.0 * np.pi)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of (3, m) component rows, bit for bit `np.cross` of
+    their transposes: each component is one product less another, in numpy's
+    operation order."""
+    c = np.empty_like(a)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=c[i])
+        c[i] -= a[k] * b[j]
+    return c
 
 
 def compute_rest_quantities(mesh: Mesh, topo: Topology, density: float) -> RestState:

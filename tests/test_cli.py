@@ -63,11 +63,13 @@ class TestPreprocess:
         stdout = capsys.readouterr().out
         line = re.search(
             r"^start stress (\S+); times: mesh load (\S+) s, shortest paths (\S+) s, "
-            r"classical scaling (\S+) s, SMACOF (\S+) s \((\d+) iterations, (\S+) ms "
-            r"each\)$", stdout, re.M)
+            r"classical scaling (\S+) s \(([^)]+)\), SMACOF (\S+) s \((\d+) iterations, "
+            r"(\S+) ms each\)$", stdout, re.M)
         assert line is not None, stdout
+        groups = list(line.groups())
+        assert groups.pop(4) == "dense"  # 25 vertices: the dense start
         start, load_s, paths_s, start_s, smacof_s, iters, iter_ms = (
-            float(g) for g in line.groups())
+            float(g) for g in groups)
         final = float(re.search(r"final stress (\S+)", stdout).group(1))
         emb, _ = geo.load_embedding(out)
         assert final == float(f"{emb.final_stress:.6e}") and start >= final

@@ -309,7 +309,7 @@ class TestMdsEmbed:
         rest = M.compute_rest_quantities(m, topo, 1.0)
         dm = G.geodesic_distances(topo, rest)
         emb = G.mds_embed(dm, k=dm.n, max_iters=300, tol=1e-12, seed=0)
-        classical_stress = G.stress(G._classical_scaling(dm.d, dm.n), dm)
+        classical_stress = G.stress(G._classical_scaling(dm.d, dm.n)[0], dm)
         assert emb.final_stress <= classical_stress
 
     def test_determinism(self):
@@ -344,12 +344,141 @@ class TestMdsEmbed:
             G.mds_embed(dm, k=4)
 
 
+def dense_start(d, k):
+    """The classical-scaling start as a dense centring product and full `eigh`
+    (every version's code up to 512 vertices)."""
+    n = d.shape[0]
+    j = np.eye(n) - np.ones((n, n)) / n
+    w, v = np.linalg.eigh(-0.5 * j @ (d * d) @ j)
+    order = np.argsort(w)[::-1][:k]
+    return v[:, order] * np.sqrt(np.clip(w[order], 0.0, None))
+
+
+_GRID_STARTS = {}
+
+
+def grid_distances_and_dense_start(nx, ny):
+    """Geodesic distances of an nx x ny grid and its dense top-8 start, made
+    once per test run."""
+    if (nx, ny) not in _GRID_STARTS:
+        m = M.grid_cloth(nx, ny)
+        topo = M.build_topology(m)
+        d = G.geodesic_distances(topo, M.compute_rest_quantities(m, topo, 1.0)).d
+        _GRID_STARTS[nx, ny] = d, dense_start(d, 8)
+    return _GRID_STARTS[nx, ny]
+
+
+def ring_distances(n):
+    """Path distances around an n-cycle: a non-Euclidean metric whose Gram's
+    eigenvalues come in equal pairs (cosine and sine of one frequency), the
+    top pair included, and are negative at every even frequency
+    (lambda_2 = -lambda_1 / 4)."""
+    t = np.arange(n)
+    gap = np.abs(t[:, None] - t[None])
+    return np.minimum(gap, n - gap).astype(np.float64)
+
+
+def crowded_distances(n=600, seed=0):
+    """Distances whose Gram has 20 negative eigenvalues larger in magnitude
+    than every positive one: the top-k block holds only negatives."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 1)) * 0.4
+    y = rng.standard_normal((n, 20))
+    x -= x.mean(0)
+    y -= y.mean(0)
+    g = x @ x.T - y @ y.T
+    d2 = np.diag(g)[:, None] + np.diag(g)[None] - 2 * g
+    d2 -= d2.min()  # a constant shift keeps the spectrum's shape
+    np.fill_diagonal(d2, 0.0)
+    d = np.sqrt(d2)
+    return np.maximum(d, d.T)
+
+
+def assert_start_matches(coords, ref, d, k, compare_stress=True):
+    """Eigenvalues (squared column norms) and start stress within 1e-9
+    relative; eigenvectors are not compared (equal eigenvalues rotate them)."""
+    got_w, ref_w = (coords ** 2).sum(axis=0), (ref[:, :k] ** 2).sum(axis=0)
+    assert np.all(np.abs(got_w - ref_w) <= 1e-9 * ref_w), (got_w, ref_w)
+    if not compare_stress:
+        return
+    dm = G.DistanceMatrix(len(d), d)
+    got_s, ref_s = G.stress(coords, dm), G.stress(ref[:, :k], dm)
+    assert abs(got_s - ref_s) <= 1e-9 * ref_s, (got_s, ref_s)
+
+
+class TestClassicalScaling:
+    @pytest.mark.parametrize("side", [25, 33, 45])
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_subspace_matches_dense_eigh(self, side, k):
+        # on the 45x45 grid lambda_min = -42.8 outweighs lambda_3 = 23.6
+        d, ref = grid_distances_and_dense_start(side, side)
+        coords, method = G._classical_scaling(d, k)
+        assert method.startswith("subspace, "), method
+        assert coords.shape == (side * side, k)
+        assert_start_matches(coords, ref, d, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_equal_pairs_and_negative_eigenvalues_of_a_ring(self, k):
+        d = ring_distances(600)
+        coords, method = G._classical_scaling(d, k)
+        assert method.startswith("subspace, "), method
+        # k = 1 takes one direction of the top pair's plane, and the stress of
+        # a 1-D start depends on which
+        assert_start_matches(coords, dense_start(d, 8), d, k, compare_stress=k % 2 == 0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_crowded_out_positive_eigenvalue_falls_back_to_dense(self, k):
+        d = crowded_distances()
+        coords, method = G._classical_scaling(d, k)
+        assert method.startswith("dense, subspace check failed after "), method
+        assert coords.tobytes() == dense_start(d, k).tobytes()
+
+    def test_iteration_cap_falls_back_to_dense_bitwise(self, monkeypatch):
+        monkeypatch.setattr(G, "_SUBSPACE_MAX_ITERS", 1)
+        d, _ = grid_distances_and_dense_start(25, 25)
+        coords, method = G._classical_scaling(d, 8)
+        assert method == "dense, subspace unconverged after 1 iterations"
+        assert coords.tobytes() == dense_start(d, 8).tobytes()
+
+    @pytest.mark.parametrize("nx, ny, k, path", [
+        (16, 32, 8, "dense"),  # 512 vertices: at the cut
+        (19, 27, 8, "subspace"),  # 513 vertices: just above it
+        (25, 25, 141, "dense"),  # k + 16 >= n / 4: the block would not be narrow
+        (25, 25, 140, "subspace"),
+    ])
+    def test_path_by_size(self, monkeypatch, nx, ny, k, path):
+        # a one-iteration cap keeps every attempt cheap; an attempt shows as a
+        # label naming the subspace iteration
+        monkeypatch.setattr(G, "_SUBSPACE_MAX_ITERS", 1)
+        d = grid_distances_and_dense_start(nx, ny)[0]
+        coords, method = G._classical_scaling(d, k)
+        if path == "dense":
+            assert method == "dense"
+            assert coords.tobytes() == dense_start(d, k).tobytes()
+        else:
+            assert "subspace" in method, method
+
+    def test_collapsed_start_is_named_as_replaced(self):
+        emb = G.mds_embed(G.DistanceMatrix(3, np.zeros((3, 3))), k=2, seed=1)
+        assert emb.start_method == "seeded random, after dense"
+
+    def test_start_is_independent_of_the_seed(self):
+        dm = G.DistanceMatrix(33 * 33, grid_distances_and_dense_start(33, 33)[0])
+        a = G.mds_embed(dm, k=8, max_iters=1, seed=0)
+        b = G.mds_embed(dm, k=8, max_iters=1, seed=5)
+        assert a.start_method.startswith("subspace, ")
+        assert a.coords.tobytes() == b.coords.tobytes()
+
+
 class TestPreprocessBytes:
     """`.geo1` digests written by the earlier implementation (numpy-array
     Dijkstra run to exhaustion, one-shot n x n x k distances, two distance
     passes per SMACOF iteration), with numpy's bundled OpenBLAS 0.3.31 on one
-    thread. The bytes depend on the BLAS thread count from a few hundred
-    vertices up, so each run is a subprocess with one BLAS thread."""
+    thread; the 1,089-vertex one was re-recorded when starts above 512
+    vertices moved to the subspace iteration (the two smaller grids keep the
+    dense start and their digests). The bytes depend on the BLAS thread count
+    from a few hundred vertices up, so each run is a subprocess with one BLAS
+    thread."""
 
     @staticmethod
     def preprocess_digest(tmp_path, garment, config=None):
@@ -383,13 +512,22 @@ class TestPreprocessBytes:
 
     def test_grid33_four_smacof_iterations(self, tmp_path):
         # 1,089 rows: many blocks of pairwise distances with a partial last
-        # one, and the F-ordered classical-scaling start (digest written by
-        # the one-shot-per-block distances)
+        # one, and the C-ordered subspace start
         garment = tmp_path / "grid33.obj"
         M.save_obj(garment, M.grid_cloth(33, 33))
         digest = self.preprocess_digest(
             tmp_path, garment, '{"geodesic": {"mds_max_iters": 4}}')
-        assert digest == "c6e4c4cf97a4fe5c39489ba8125003918392cb70a23cd6986b5e6e9a9f74fb62"
+        assert digest == "378d34d5d4766b2b75a9b4875afce9873cef185b02658d6e9f06f170d699835a"
+
+    def test_grid33_two_processes_write_the_same_bytes(self, tmp_path):
+        garment = tmp_path / "grid33.obj"
+        M.save_obj(garment, M.grid_cloth(33, 33))
+        runs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            runs.append(self.preprocess_digest(
+                tmp_path / name, garment, '{"geodesic": {"mds_max_iters": 1}}'))
+        assert runs[0] == runs[1]
 
 
 class TestEmbeddingFile:

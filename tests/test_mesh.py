@@ -179,6 +179,57 @@ class TestRestQuantities:
         assert np.allclose(np.abs(folded - np.pi), np.pi / 2, atol=1e-12)
 
 
+def awkward_rows(m, seed):
+    """(m, 3) rows mixing ordinary, huge, tiny, non-finite and signed-zero
+    components."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((m, 3)) * 10.0 ** rng.integers(-30, 30, (m, 3))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+    pick = rng.random((m, 3)) < 0.3
+    rows[pick] = rng.choice(special, size=pick.sum())
+    return rows
+
+
+def reference_dihedral_angles(positions, dihedral_pairs):
+    """`dihedral_angles` as written over `np.cross` on (D, 3) rows."""
+    xi, xj, xp, xq = (positions[dihedral_pairs[:, c]] for c in range(4))
+    e = xj - xi
+    n1 = np.cross(e, xp - xi)
+    n2 = np.cross(xq - xi, e)
+    sin_term = (np.cross(n1, n2) * e).sum(axis=1)
+    cos_term = (n1 * n2).sum(axis=1) * np.linalg.norm(e, axis=1)
+    return np.mod(np.pi - np.arctan2(sin_term, cos_term), 2.0 * np.pi)
+
+
+class TestDihedralBitwise:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cross_equals_np_cross(self, seed):
+        a, b = awkward_rows(5000, seed), awkward_rows(5000, seed + 100)
+        a[:8] = -0.0  # all-negative-zero rows against every sign of b
+        b[:8] = [[s0, s1, s2] for s0 in (0.0, -0.0) for s1 in (0.0, -0.0)
+                 for s2 in (0.0, -0.0)]
+        with np.errstate(all="ignore"):
+            got = M._cross(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+            ref = np.cross(a, b)
+        assert got.T.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dihedral_angles_equal_np_cross_version(self, seed):
+        positions = awkward_rows(300, seed)
+        pairs = np.random.default_rng(seed).integers(0, 300, (4000, 4))
+        with np.errstate(all="ignore"):
+            got = M.dihedral_angles(positions, pairs)
+            ref = reference_dihedral_angles(positions, pairs)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_jittered_grid_equals_np_cross_version(self):
+        m = M.grid_cloth(40, 40)
+        v = m.vertices + np.random.default_rng(5).standard_normal(m.vertices.shape) * 1e-2
+        pairs = M.build_topology(m).dihedral_pairs
+        got = M.dihedral_angles(v, pairs)
+        assert got.tobytes() == reference_dihedral_angles(v, pairs).tobytes()
+
+
 class TestWorldEdges:
     def test_single_pair_within_radius(self):
         ws = M.build_world_edges(np.array([[0.0, 0, 0]]), np.array([[0.0, 0, 0.5]]), 1.0)
