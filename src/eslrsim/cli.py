@@ -34,16 +34,22 @@ def _echo_config(cfg: RunConfig) -> None:
     print("effective config: " + json.dumps(config_to_dict(cfg), sort_keys=True))
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
+
+
 # -- preprocess ---------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
+    _check_seed(args.seed)
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.embed_dim is not None:
         cfg.geodesic.embed_dim = args.embed_dim
     gcfg = cfg.geodesic
     _echo_config(cfg)
     t0 = time.perf_counter()
-    mesh = load_obj(args.garment, kind="garment")
+    mesh = load_obj(args.garment)
     topo = build_topology(mesh)
     if topo.nonmanifold_edge_count:
         print(f"diagnostics: {topo.nonmanifold_edge_count} non-manifold edge(s) "
@@ -51,13 +57,12 @@ def cmd_preprocess(args) -> int:
     rest = compute_rest_quantities(mesh, topo, cfg.mesh.density)
     load_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    dist = geo.geodesic_distances(topo, rest)
+    d = geo.geodesic_distances(topo, rest)
     paths_s = time.perf_counter() - t0
-    emb = geo.mds_embed(dist, k=gcfg.embed_dim, max_iters=gcfg.mds_max_iters,
+    emb = geo.mds_embed(d, k=gcfg.embed_dim, max_iters=gcfg.mds_max_iters,
                         seed=args.seed)
     out = Path(args.out) if args.out else Path(geo.default_embedding_path(args.garment))
-    geo.save_embedding(out, emb, seed=args.seed,
-                       distances=dist if args.keep_distances else None)
+    geo.save_embedding(out, emb, seed=args.seed)
     print(f"wrote {out}: {mesh.n_vertices} vertices, k={gcfg.embed_dim}, "
           f"final stress {emb.final_stress:.6e} after "
           f"{len(emb.stress_history) - 1} iterations")
@@ -72,6 +77,7 @@ def cmd_preprocess(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    _check_seed(args.seed)
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.iters is not None:
         cfg.trainer.iterations = args.iters
@@ -264,6 +270,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
+    _check_seed(args.seed)
     if args.ckpt:
         params, cfg = _load_model(args.ckpt)
     else:
@@ -277,6 +284,8 @@ def cmd_bench(args) -> int:
         raise ValidationError(
             f"--sizes entries must be >= 4 (the smallest grid is 2x2), got {min(sizes)}")
     for n_layers in layer_counts:
+        if n_layers < 0:
+            raise ValidationError(f"--layers entries must be >= 0, got {n_layers}")
         if n_layers > cfg.model.lsdmp_layers:
             raise ValidationError(
                 f"--layers {n_layers} exceeds model depth {cfg.model.lsdmp_layers}")
@@ -310,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--garment", required=True)
     p.add_argument("--embed-dim", type=int, default=None)
     p.add_argument("--out", default=None, help="default: sibling .geo1 file")
-    p.add_argument("--keep-distances", action="store_true",
-                   help="retain the full distance matrix in the output file")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_preprocess)

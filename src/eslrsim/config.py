@@ -63,7 +63,7 @@ class SceneSpec:
 class TrainerConfig:
     iterations: int = _at_least(1, 2000)
     learning_rate: float = 1e-4
-    seed: int = 0
+    seed: int = _at_least(0, 0)
     scenes: list[SceneSpec] = field(default_factory=list)
     checkpoint_interval: int = _at_least(0, 500)
     warmup_steps: int = _at_least(0, 5)  # free (untrained) frames before the training step

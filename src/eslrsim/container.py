@@ -1,11 +1,13 @@
-"""The file container of checkpoints (`.ckpt`) and geodesic embeddings
-(`.geo1`): a magic line, one sort-keyed JSON header line, then raw
-little-endian f64 blocks in the order the header describes them.
+"""The file container of checkpoints (`.ckpt`, one block per parameter) and
+geodesic embeddings (`.geo1`, the one (n, k) block): a magic line, one
+sort-keyed JSON header line, then raw little-endian f64 blocks in the order
+the header describes them.
 
 `read` checks the whole layout before it allocates or reads a block: the
 header's block sizes, computed with Python ints so no count can overflow, must
 add up to exactly the bytes that follow the header. A file that breaks the
-layout raises ValidationError naming the file.
+layout raises ValidationError naming the file. Header keys the layout does
+not read are ignored.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Callable, Container, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,12 +37,11 @@ def write(path, magic: bytes, header: dict, blocks: Iterable[np.ndarray]) -> Non
 
 
 def read(path, magic: bytes, kind: str,
-         layout: Callable[[dict], dict[str, tuple[int, ...]]],
-         skip: Container[str] = ()) -> tuple[dict, dict[str, np.ndarray]]:
+         layout: Callable[[dict], dict[str, tuple[int, ...]]]
+         ) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the named blocks of a container file. `layout(header)`
     checks the caller's own header fields, raising ValidationError, and
-    returns each block's name and shape (non-negative ints) in file order.
-    Blocks named in `skip` are seeked past, not read."""
+    returns each block's name and shape (non-negative ints) in file order."""
     with open(path, "rb") as fh:
         found = fh.read(len(magic))
         if found != magic:
@@ -62,9 +63,6 @@ def read(path, magic: bytes, kind: str,
                 f"{left} bytes follow it")
         blocks = {}
         for (name, shape), size in zip(shapes.items(), sizes):
-            if name in skip:
-                fh.seek(size, os.SEEK_CUR)
-                continue
             blocks[name] = np.empty(shape, dtype="<f8")
             if fh.readinto(blocks[name]) != size:
                 raise ValidationError(f"{path}: truncated block '{name}'")

@@ -1,7 +1,8 @@
 """Geodesic distances over the mesh graph and their MDS reduction.
 
-Distances are shortest paths over mesh edges weighted by rest length (the graph
-the network actually sees). The embedding minimizes raw stress,
+Distances, a plain (n, n) array in meters, are shortest paths over mesh edges
+weighted by rest length (the graph the network actually sees). The embedding,
+the one product `preprocess` stores, minimizes raw stress,
 
     sum_{i != j} (d_ij - ||c_i - c_j||)^2,
 
@@ -30,13 +31,11 @@ Cost model, for n vertices, E edges and embedding width k:
   `eigh`, whose bytes the small embeddings keep (see `_classical_scaling`).
 
 On a 2,025-vertex grid with 4 SMACOF iterations and one BLAS thread (2-core
-x86-64 VM), the sweep takes about 0.8 s, the subspace start about 0.3 s (the
-dense one 1.9 s) and each SMACOF iteration about 0.15 s (0.33 s when each
-block of rows was summed by numpy). At 100 vertices an iteration takes
-0.32 ms (0.98 ms). A fresh process running `preprocess` there peaks at 167 MB
-(`ru_maxrss`), against 230 MB with the dense start. At 8,100 vertices the
-subspace start takes 4.4 s against 151 s, and the process peaks at 2.05 GB
-against 3.07 GB.
+x86-64 VM), the sweep takes about 0.8 s, the subspace start about 0.3 s and
+each SMACOF iteration about 0.15 s. At 100 vertices an iteration takes
+0.32 ms. A fresh process running `preprocess` on the 2,025-vertex grid peaks
+at 167 MB (`ru_maxrss`). At 8,100 vertices the subspace start takes 4.4 s,
+and the process peaks at 2.05 GB.
 """
 
 from __future__ import annotations
@@ -54,21 +53,14 @@ GEO_MAGIC = b"ESLR-GEO1\n"
 
 
 @dataclass
-class DistanceMatrix:
-    n: int
-    d: np.ndarray  # (n, n) symmetric, zero diagonal, meters
-
-
-@dataclass
 class GeodesicEmbedding:
-    k: int
     coords: np.ndarray  # (n, k) meters in embedding space
     final_stress: float
-    stress_history: np.ndarray | None = None  # accepted stress per iteration
-    start_s: float = 0.0  # wall time of the classical-scaling start
-    start_method: str = "dense"  # how the start was found (`_classical_scaling`)
-    smacof_s: float = 0.0  # wall time of SMACOF, the start's stress included
-    iterations_run: int = 0  # SMACOF iterations, a rejected last one included
+    stress_history: np.ndarray  # accepted stress per iteration, the start's first
+    start_s: float  # wall time of the classical-scaling start
+    start_method: str  # how the start was found (`_classical_scaling`)
+    smacof_s: float  # wall time of SMACOF, the start's stress included
+    iterations_run: int  # SMACOF iterations, a rejected last one included
 
 
 def _neighbour_table(topo: Topology, rest: RestState
@@ -97,9 +89,9 @@ def _raise_disconnected(d: np.ndarray) -> None:
         f"{len(smallest)} vertices: [{shown}{more}]")
 
 
-def geodesic_distances(topo: Topology, rest: RestState) -> DistanceMatrix:
-    """All-pairs shortest paths by a label-correcting sweep over blocks of
-    source rows.
+def geodesic_distances(topo: Topology, rest: RestState) -> np.ndarray:
+    """All-pairs shortest paths, an (n, n) array in meters, by a
+    label-correcting sweep over blocks of source rows.
 
     A block's frontier starts as its diagonal. Each sweep relaxes every
     frontier pair (s, u) over u's edges, lowers d[s, v] where d[s, u] + w is
@@ -140,7 +132,7 @@ def geodesic_distances(topo: Topology, rest: RestState) -> DistanceMatrix:
         diag[below] = diag.T[below]
     if n and not np.isfinite(d[0]).all():
         _raise_disconnected(d)
-    return DistanceMatrix(n=n, d=d)
+    return d
 
 
 _BLOCK_VALUES = 1 << 17  # squared differences per pairwise-distance block (1 MiB)
@@ -211,13 +203,14 @@ def _raw_stress(d: np.ndarray, pd: np.ndarray) -> float:
     return float(r.sum())  # diagonal contributes zero
 
 
-def stress(coords: np.ndarray, dist: DistanceMatrix) -> float:
-    """Raw stress with the i != j double sum (each unordered pair counted twice)."""
+def stress(coords: np.ndarray, d: np.ndarray) -> float:
+    """Raw stress against the (n, n) distances `d`, with the i != j double
+    sum (each unordered pair counted twice)."""
     coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[0] != dist.n:
+    if coords.shape[0] != d.shape[0]:
         raise ValidationError(
-            f"stress: coords rows {coords.shape[0]} != distance matrix size {dist.n}")
-    return _raw_stress(dist.d, _pairwise_distances(coords))
+            f"stress: coords rows {coords.shape[0]} != distance matrix size {d.shape[0]}")
+    return _raw_stress(d, _pairwise_distances(coords))
 
 
 # The subspace start overtakes the dense one near 300 vertices at k = 8 (one
@@ -258,10 +251,7 @@ def _classical_scaling(d: np.ndarray, k: int) -> tuple[np.ndarray, str]:
     w, v = np.linalg.eigh(gram)
     order = np.argsort(w)[::-1][:k]
     lam = np.clip(w[order], 0.0, None)
-    coords = v[:, order] * np.sqrt(lam)
-    if coords.shape[1] < k:
-        coords = np.pad(coords, ((0, 0), (0, k - coords.shape[1])))
-    return coords, method
+    return v[:, order] * np.sqrt(lam), method
 
 
 def _subspace_scaling(d: np.ndarray, k: int) -> tuple[np.ndarray | None, str]:
@@ -303,9 +293,10 @@ def _guttman_matrix(d: np.ndarray, pd: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def mds_embed(dist: DistanceMatrix, k: int, max_iters: int = 500,
+def mds_embed(d: np.ndarray, k: int, max_iters: int = 500,
               tol: float = 1e-9, seed: int = 0) -> GeodesicEmbedding:
-    """SMACOF stress majorization down to `k` dimensions.
+    """SMACOF stress majorization of the (n, n) distances `d` down to `k`
+    dimensions.
 
     Initialized from classical scaling (deterministic); a seeded random init is
     used only if that collapses (random starts routinely strand 1-D embeddings
@@ -315,14 +306,13 @@ def mds_embed(dist: DistanceMatrix, k: int, max_iters: int = 500,
     """
     if k < 1:
         raise ValidationError(f"embedding dimension must be >= 1, got {k}")
-    if k > dist.n:
-        raise ValidationError(f"embedding dimension {k} exceeds vertex count {dist.n}")
+    n = d.shape[0]
+    if k > n:
+        raise ValidationError(f"embedding dimension {k} exceeds vertex count {n}")
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
     if tol <= 0:
         raise ValidationError("tol must be > 0")
-    d = dist.d
-    n = dist.n
     t0 = time.perf_counter()
     coords, method = _classical_scaling(d, k)
     if not np.all(np.isfinite(coords)) or (n > 1 and np.ptp(coords) < 1e-300):
@@ -346,7 +336,7 @@ def mds_embed(dist: DistanceMatrix, k: int, max_iters: int = 500,
             s_prev = s_new
             break
         s_prev = s_new
-    return GeodesicEmbedding(k=k, coords=coords, final_stress=s_prev,
+    return GeodesicEmbedding(coords=coords, final_stress=s_prev,
                              stress_history=np.array(history), start_s=t1 - t0,
                              start_method=method,
                              smacof_s=time.perf_counter() - t1, iterations_run=run)
@@ -354,32 +344,21 @@ def mds_embed(dist: DistanceMatrix, k: int, max_iters: int = 500,
 
 # -- embedding container file ------------------------------------------------
 # A container file (see `container`): the header holds n, k, final_stress,
-# seed, the iteration count and the distance-retention flag; the blocks are
-# the n x k embedding and, when retained, the n x n distance matrix.
+# seed and the iteration count, and the one block is the n x k embedding.
+# Older files whose header says "has_distances": false load the same; one that
+# still holds the n x n distance block fails the container's size check.
 
-def save_embedding(path, emb: GeodesicEmbedding, seed: int,
-                   distances: DistanceMatrix | None = None) -> None:
-    header = {
-        "n": int(emb.coords.shape[0]),
-        "k": int(emb.k),
-        "final_stress": float(emb.final_stress),
-        "iterations": int(len(emb.stress_history)) if emb.stress_history is not None else 0,
-        "seed": int(seed),
-        "has_distances": distances is not None,
-    }
-    blocks = [emb.coords] if distances is None else [emb.coords, distances.d]
-    container.write(path, GEO_MAGIC, header, blocks)
+def save_embedding(path, emb: GeodesicEmbedding, seed: int) -> None:
+    n, k = emb.coords.shape
+    header = {"n": n, "k": k, "final_stress": float(emb.final_stress),
+              "iterations": len(emb.stress_history), "seed": int(seed)}
+    container.write(path, GEO_MAGIC, header, [emb.coords])
 
 
-def load_embedding(path, distances: bool = True
-                   ) -> tuple[GeodesicEmbedding, DistanceMatrix | None]:
-    """The embedding, and its distances if stored and `distances` (else unread)."""
-    header, blocks = container.read(path, GEO_MAGIC, "an embedding", _embedding_layout,
-                                    skip=() if distances else ("distances",))
-    emb = GeodesicEmbedding(k=header["k"], coords=blocks["coords"],
-                            final_stress=float(header["final_stress"]))
-    dist = blocks.get("distances")
-    return emb, None if dist is None else DistanceMatrix(n=header["n"], d=dist)
+def load_embedding(path) -> tuple[dict, np.ndarray]:
+    """The header and the (n, k) coordinates of an embedding file."""
+    header, blocks = container.read(path, GEO_MAGIC, "an embedding", _embedding_layout)
+    return header, blocks["coords"]
 
 
 def _embedding_layout(header: dict) -> dict[str, tuple[int, ...]]:
@@ -391,11 +370,7 @@ def _embedding_layout(header: dict) -> dict[str, tuple[int, ...]]:
     if isinstance(stress, bool) or not isinstance(stress, (int, float)):
         raise ValidationError(
             f"header field 'final_stress' must be a number, got {stress!r}")
-    n, k = header["n"], header["k"]
-    shapes = {"coords": (n, k)}
-    if header.get("has_distances"):
-        shapes["distances"] = (n, n)
-    return shapes
+    return {"coords": (header["n"], header["k"])}
 
 
 def default_embedding_path(garment_path: str) -> str:

@@ -52,8 +52,6 @@ def gsa_inject(vertex_feats: Tensor, embed: np.ndarray) -> Tensor:
         raise ValueError(
             f"geodesic embedding rows ({embed.shape[0]}) do not match garment "
             f"vertex count ({n}); re-run preprocess for this mesh")
-    if embed.shape[1] == 0:
-        return vertex_feats
     return T.concat([vertex_feats, Tensor(embed)], axis=-1)
 
 

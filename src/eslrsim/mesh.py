@@ -7,12 +7,12 @@ exactly against a brute-force oracle.
 Loading a garment costs one Python pass over the OBJ lines plus bulk number
 conversion (`parse_obj`) and one O(T log T) stable sort of the 3T half-edges
 of T triangles (`build_topology`). On a 2-core x86-64 VM (numpy 2.4.6, one thread)
-`load_obj`, `build_topology` and `compute_rest_quantities` take 4.6, 0.4 and
-1.4 ms for a 45x45 grid (2,025 vertices) and 39, 2.9 and 12 ms for a
-128x128 grid (16,384 vertices). Writing the hinge angles' cross products out
-over component rows (`_cross`) later took `dihedral_angles` there from 17-22
-to 3.9-4.7 ms and `compute_rest_quantities` from 27-35 to 13-18 ms (medians
-of 15 calls, on a slower phase of the VM), with the same bytes.
+`load_obj` and `build_topology` take 4.6 and 0.4 ms for a 45x45 grid (2,025
+vertices) and 39 and 2.9 ms for a 128x128 grid (16,384 vertices).
+`dihedral_angles` writes its cross products out over component rows
+(`_cross`), with the bytes of `np.cross`; at 128x128 it takes 3.9-4.7 ms and
+`compute_rest_quantities` 13-18 ms (medians of 15 calls, on a slower phase of
+the VM).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ TRIANGLE_AREA_EPS = 1e-12
 class Mesh:
     vertices: np.ndarray  # (n, 3) rest positions, meters
     triangles: np.ndarray  # (m, 3) vertex indices
-    kind: str = "garment"  # garment | body
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -75,7 +74,6 @@ class RestState:
 @dataclass
 class WorldEdgeSet:
     pairs: np.ndarray  # (P, 2) rows (garment index, body index), sorted ascending
-    radius: float
 
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -103,7 +101,7 @@ def vertex_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 # -- OBJ subset ------------------------------------------------------------
 
-def parse_obj(text: str, kind: str = "garment") -> Mesh:
+def parse_obj(text: str) -> Mesh:
     """Parse `v x y z` / `f i j k ...` lines; faces with >3 vertices are fan-split.
 
     Indices are 1-based. `#` comments and non-geometry keywords (vn, vt, s, o, g,
@@ -163,7 +161,7 @@ def parse_obj(text: str, kind: str = "garment") -> Mesh:
     ik = np.flatnonzero(middle)  # i1..i(s-2) of every face, in file order
     triangles = np.stack([np.repeat(idx[first], sizes - 2), idx[ik], idx[ik + 1]],
                          axis=1) - 1
-    return Mesh(vertices.reshape(-1, 3), triangles, kind=kind)
+    return Mesh(vertices.reshape(-1, 3), triangles)
 
 
 def _tokens(raw: str) -> list[str]:
@@ -203,9 +201,9 @@ def obj_text(vertices: np.ndarray, triangles: np.ndarray) -> str:
             + ("f %s %s %s\n" * (len(f) // 3)) % tuple(f)) or "\n"
 
 
-def load_obj(path, kind: str = "garment") -> Mesh:
+def load_obj(path) -> Mesh:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_obj(fh.read(), kind=kind)
+        return parse_obj(fh.read())
 
 
 def save_obj(path, mesh: Mesh) -> None:
@@ -320,8 +318,7 @@ def build_world_edges(garment_pos: np.ndarray, body_pos: np.ndarray,
             diff = np.subtract.outer(garment_pos[:, axis], body_pos[:, axis])
             d2 += diff * diff
     # nonzero walks the C-ordered mask row by row: pairs come sorted and unique
-    return WorldEdgeSet(pairs=np.stack(np.nonzero(d2 <= radius * radius), axis=1),
-                        radius=radius)
+    return WorldEdgeSet(pairs=np.stack(np.nonzero(d2 <= radius * radius), axis=1))
 
 
 # -- synthetic assets --------------------------------------------------------
@@ -342,7 +339,7 @@ def grid_cloth(nx: int, ny: int, size_x: float = 1.0, size_y: float = 1.0) -> Me
             v3 = v2 + 1
             tris.append((v0, v1, v3))
             tris.append((v0, v3, v2))
-    return Mesh(verts, np.array(tris, dtype=np.intp), kind="garment")
+    return Mesh(verts, np.array(tris, dtype=np.intp))
 
 
 def mean_edge_length(mesh: Mesh, topo: Topology) -> float:

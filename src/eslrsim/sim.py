@@ -133,7 +133,7 @@ def uv_sphere(radius: float, n_lat: int, n_lon: int,
             c, d = ring(i + 1, j), ring(i + 1, j + 1)
             tris.append((a, b, d))
             tris.append((a, d, c))
-    return Mesh(np.array(verts), np.array(tris, dtype=np.intp), kind="body")
+    return Mesh(np.array(verts), np.array(tris, dtype=np.intp))
 
 
 def capsule(radius: float, half_length: float, n_lat: int, n_lon: int,
@@ -145,7 +145,7 @@ def capsule(radius: float, half_length: float, n_lat: int, n_lon: int,
     v = v[:, [1, 0, 2]]
     v[:, 0] += np.sign(v[:, 0]) * half_length
     v += np.array(center)
-    return Mesh(v, sphere.triangles, kind="body")
+    return Mesh(v, sphere.triangles)
 
 
 def make_body_motion(preset: str, cfg: RunConfig, amplitude: float | None = None,
@@ -222,15 +222,15 @@ def garment_assets_from_mesh(mesh: Mesh, cfg: RunConfig, embedding: np.ndarray,
 
 def load_garment_assets(garment_path, cfg: RunConfig,
                         embedding_path=None) -> GarmentAssets:
-    mesh = load_obj(garment_path, kind="garment")
+    mesh = load_obj(garment_path)
     path = embedding_path or geo.default_embedding_path(garment_path)
     try:
-        emb, _ = geo.load_embedding(path, distances=False)
+        _, coords = geo.load_embedding(path)
     except FileNotFoundError:
         raise ValidationError(
             f"no geodesic embedding at {path} for garment {garment_path}; "
             f"run `eslrsim preprocess --garment {garment_path}` first") from None
-    return garment_assets_from_mesh(mesh, cfg, emb.coords, source=str(path))
+    return garment_assets_from_mesh(mesh, cfg, coords, source=str(path))
 
 
 def build_scene(garment: GarmentAssets, body: BodyMotion, cfg: RunConfig) -> Scene:

@@ -110,7 +110,7 @@ def test_criterion_3_mds_chain_embeddability():
     start = time.perf_counter()
     n = 50
     idx = np.arange(n)
-    dist = G.DistanceMatrix(n=n, d=np.abs(idx[:, None] - idx[None, :]).astype(float))
+    dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
     emb = G.mds_embed(dist, k=1, max_iters=500, tol=1e-14, seed=0)
     assert emb.final_stress <= 1e-6, f"stress {emb.final_stress:.2e}"
     hist = emb.stress_history

@@ -71,8 +71,8 @@ class TestPreprocess:
         start, load_s, paths_s, start_s, smacof_s, iters, iter_ms = (
             float(g) for g in groups)
         final = float(re.search(r"final stress (\S+)", stdout).group(1))
-        emb, _ = geo.load_embedding(out)
-        assert final == float(f"{emb.final_stress:.6e}") and start >= final
+        header, _ = geo.load_embedding(out)
+        assert final == float(f"{header['final_stress']:.6e}") and start >= final
         assert 1 <= iters <= 500
         assert min(load_s, paths_s, start_s, smacof_s, iter_ms) >= 0
         assert abs(iter_ms * iters - 1e3 * smacof_s) <= 1e-3 * iters + 1
@@ -218,6 +218,8 @@ class TestTrainCli:
         # keys made constants, as echoed by configs and checkpoints from before
         ({section: {key: value}}, f"unknown config key(s) ['{key}'] under '{section}'")
         for section, key, value in REMOVED_KEYS
+    ] + [
+        ({"trainer": {"seed": -1}}, "config key 'trainer.seed' must be >= 0"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, bad, named):
         cfg_path = tmp_path / "bad.json"
@@ -417,6 +419,12 @@ class TestBenchCli:
         err = capsys.readouterr().err
         assert "--sizes" in err and "Traceback" not in err
 
+    def test_negative_layers_exit_2(self, capsys):
+        rc = cli.main(["bench", "--sizes", "16", "--layers=-1,0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--layers entries must be >= 0, got -1" in err and "Traceback" not in err
+
 
 def rewrite_header(path, edit):
     """Replace the JSON header line of a magic-prefixed file by edit(header)."""
@@ -519,6 +527,22 @@ class TestExitCodes:
                        "--embed-dim", "2"])
         assert rc in (1, 2)
 
+    @pytest.mark.parametrize("command", ["preprocess", "train", "bench"])
+    def test_negative_seed_exits_2(self, tmp_path, garment_obj, capsys, command):
+        out = tmp_path / "out"
+        assert cli.main(["preprocess", "--garment", str(garment_obj),
+                         "--embed-dim", "3"]) == 0
+        args = {"preprocess": ["--garment", str(garment_obj), "--out", str(out)],
+                "train": ["--config", str(small_config_file(tmp_path, garment_obj, 1)),
+                          "--out", str(out), "--quiet"],
+                "bench": ["--sizes", "16", "--layers", "1"]}[command]
+        capsys.readouterr()
+        rc = cli.main([command, *args, "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 # -- fuzz: mutated OBJ garments through `preprocess` ---------------------------
 
@@ -600,8 +624,8 @@ def test_mutated_obj_preprocess_exits_cleanly(fuzz_dir, text):
     else:  # whatever else fails, a connected mesh is not called disconnected
         assert "connected components" not in err.getvalue()
     if rc == 0:
-        emb, _ = geo.load_embedding(out)
-        assert np.isfinite(emb.coords).all() and np.isfinite(emb.final_stress)
+        header, coords = geo.load_embedding(out)
+        assert np.isfinite(coords).all() and np.isfinite(header["final_stress"])
 
 
 # -- fuzz: mutated config bytes through `preprocess` ---------------------------

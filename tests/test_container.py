@@ -165,8 +165,7 @@ def checkpoint_edits(h):
 def embedding_edits(h):
     """Edits `(keys, value)` of the valid embedding header `h`, as above."""
     edits = [(("n",), h["k"]), (("k",), h["n"]),  # the swap keeps the byte count
-             (("has_distances",), True), (("final_stress",), "x"),
-             (("final_stress",), None)]
+             (("final_stress",), "x"), (("final_stress",), None)]
     for key in ("n", "k"):
         edits += [((key,), v) for v in (-1, float(h[key]), 2 ** 62, str(h[key]),
                                         None, True, h[key] - 1, h[key] + 1)]
@@ -190,6 +189,14 @@ class TestFileFuzz:
             magic, header, body = split(files["good"][which])
             put(header, *data.draw(st.sampled_from(edits(header))))
             assert simulate(files, which, join(magic, header, body)) == 2
+
+    def test_distance_block_exits_2(self, files):
+        # the layout of files written with `preprocess --keep-distances`, which
+        # is gone: an n x n block after the coordinates fails the size check
+        magic, header, body = split(files["good"]["geo"])
+        header["has_distances"] = True
+        extended = join(magic, header, body + bytes(8 * header["n"] ** 2))
+        assert simulate(files, "geo", extended) == 2
 
     @given(st.sampled_from(["ckpt", "geo"]), st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=30, deadline=None)

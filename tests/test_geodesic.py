@@ -85,12 +85,12 @@ def tie_heavy_graph(n, seed, hub_degree=0):
     return edge_graph(n, edges, rng.choice(NEAR_TIES, len(edges)))
 
 
-def assert_matches_reference(dm, ref):
+def assert_matches_reference(d, ref):
     """Upper triangle bitwise equal to full heap Dijkstra, lower triangle its
     mirror, zero diagonal."""
-    assert np.array_equal(np.triu(dm.d, 1), np.triu(ref, 1))
-    assert np.array_equal(dm.d, dm.d.T)
-    assert np.array_equal(np.diag(dm.d), np.zeros(dm.n))
+    assert np.array_equal(np.triu(d, 1), np.triu(ref, 1))
+    assert np.array_equal(d, d.T)
+    assert np.array_equal(np.diag(d), np.zeros(len(d)))
 
 
 def jittered_grid(nx, ny, seed):
@@ -104,16 +104,16 @@ def jittered_grid(nx, ny, seed):
 class TestGeodesicDistances:
     def test_three_vertex_path(self):
         topo, rest = chain_graph(3)
-        dm = G.geodesic_distances(topo, rest)
-        assert dm.d[0, 2] == 2.0
+        d = G.geodesic_distances(topo, rest)
+        assert d[0, 2] == 2.0
 
     def test_unit_right_triangle_direct_edge_wins(self):
         m = M.Mesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
                    np.array([[0, 1, 2]]))
         topo = M.build_topology(m)
         rest = M.compute_rest_quantities(m, topo, 1.0)
-        dm = G.geodesic_distances(topo, rest)
-        assert np.isclose(dm.d[1, 2], np.sqrt(2))
+        d = G.geodesic_distances(topo, rest)
+        assert np.isclose(d[1, 2], np.sqrt(2))
 
     def test_grid_matches_floyd_warshall(self):
         # unit-spaced 10x10 grid; diagonal edges are sqrt(2), so sums from the
@@ -121,11 +121,11 @@ class TestGeodesicDistances:
         m = M.grid_cloth(10, 10, 9.0, 9.0)
         topo = M.build_topology(m)
         rest = M.compute_rest_quantities(m, topo, 1.0)
-        dm = G.geodesic_distances(topo, rest)
+        d = G.geodesic_distances(topo, rest)
         ref = floyd_warshall(m.n_vertices, topo.mesh_edges, rest.edge_rest_lengths)
-        assert np.array_equal(dm.d, dm.d.T)
-        assert np.abs(dm.d - ref).max() <= 1e-12
-        assert dm.d[0, 99] == ref[0, 99]  # corner-to-corner is exact
+        assert np.array_equal(d, d.T)
+        assert np.abs(d - ref).max() <= 1e-12
+        assert d[0, 99] == ref[0, 99]  # corner-to-corner is exact
 
     def test_integer_weights_match_floyd_warshall_exactly(self):
         # integer edge lengths sum exactly in f64, so equality is bitwise
@@ -139,9 +139,9 @@ class TestGeodesicDistances:
         topo = M.Topology(mesh_edges=edges, n_vertices=n,
                           dihedral_pairs=np.zeros((0, 4), dtype=np.intp))
         rest = M.RestState(weights, np.ones(n), np.zeros(0))
-        dm = G.geodesic_distances(topo, rest)
+        d = G.geodesic_distances(topo, rest)
         ref = floyd_warshall(n, edges, weights)
-        assert np.array_equal(dm.d, ref)
+        assert np.array_equal(d, ref)
 
     @pytest.mark.parametrize("mesh", [
         jittered_grid(9, 7, seed=4),
@@ -153,13 +153,13 @@ class TestGeodesicDistances:
         # source's row comes from the mirror alone, and the diagonal is zero
         topo = M.build_topology(mesh)
         rest = M.compute_rest_quantities(mesh, topo, 1.0)
-        dm = G.geodesic_distances(topo, rest)
+        d = G.geodesic_distances(topo, rest)
         ref = reference_dijkstra(topo, rest)
         n = mesh.n_vertices
-        assert np.array_equal(np.triu(dm.d, 1), np.triu(ref, 1))
-        assert np.array_equal(dm.d, dm.d.T)
-        assert np.array_equal(np.diag(dm.d), np.zeros(n))
-        assert np.array_equal(dm.d[n - 1, :n - 1], ref[:n - 1, n - 1])
+        assert np.array_equal(np.triu(d, 1), np.triu(ref, 1))
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(np.diag(d), np.zeros(n))
+        assert np.array_equal(d[n - 1, :n - 1], ref[:n - 1, n - 1])
 
     @pytest.mark.parametrize("n, seed", [(5, 0), (23, 1), (64, 2), (90, 3), (160, 4)])
     def test_near_tie_weights_match_heap_dijkstra_bitwise(self, n, seed):
@@ -253,13 +253,13 @@ class TestPairwiseDistances:
 class TestStress:
     def test_exact_embedding_is_zero(self):
         coords = np.array([[0.0], [1.0], [2.0]])
-        dm = G.DistanceMatrix(3, np.abs(coords - coords.T))
-        assert G.stress(coords, dm) == 0.0
+        d = np.abs(coords - coords.T)
+        assert G.stress(coords, d) == 0.0
 
     def test_two_points_closed_form(self):
-        dm = G.DistanceMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
         coords = np.array([[0.0], [2.0]])
-        assert np.isclose(G.stress(coords, dm), 2.0)  # (1-2)^2 counted twice
+        assert np.isclose(G.stress(coords, d), 2.0)  # (1-2)^2 counted twice
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(0)
@@ -267,39 +267,38 @@ class TestStress:
         target = rng.random((5, 5))
         target = (target + target.T) / 2
         np.fill_diagonal(target, 0.0)
-        dm = G.DistanceMatrix(5, target)
         acc = 0.0
         for i in range(5):
             for j in range(5):
                 if i != j:
                     acc += (target[i, j] - np.linalg.norm(pts[i] - pts[j])) ** 2
-        got = G.stress(pts, dm)
+        got = G.stress(pts, target)
         assert abs(got - acc) <= 1e-12 * max(1.0, abs(acc))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((6, 2))
-        dm = G.DistanceMatrix(6, np.abs(rng.standard_normal((6, 6))))
-        dm.d = (dm.d + dm.d.T) / 2
-        np.fill_diagonal(dm.d, 0.0)
-        s0 = G.stress(pts, dm)
-        s1 = G.stress(pts + np.array([5.0, -3.0]), dm)
+        d = np.abs(rng.standard_normal((6, 6)))
+        d = (d + d.T) / 2
+        np.fill_diagonal(d, 0.0)
+        s0 = G.stress(pts, d)
+        s1 = G.stress(pts + np.array([5.0, -3.0]), d)
         assert abs(s0 - s1) <= 1e-12 * max(1.0, s0)
 
 
 class TestMdsEmbed:
     def test_chain_embeds_isometrically_in_1d(self):
         topo, rest = chain_graph(5)
-        dm = G.geodesic_distances(topo, rest)
-        emb = G.mds_embed(dm, k=1, max_iters=500, tol=1e-12, seed=0)
+        d = G.geodesic_distances(topo, rest)
+        emb = G.mds_embed(d, k=1, max_iters=500, tol=1e-12, seed=0)
         assert emb.final_stress <= 1e-6
 
     def test_stress_monotone_non_increasing(self):
         m = M.grid_cloth(5, 5)
         topo = M.build_topology(m)
         rest = M.compute_rest_quantities(m, topo, 1.0)
-        dm = G.geodesic_distances(topo, rest)
-        emb = G.mds_embed(dm, k=2, max_iters=200, tol=1e-12, seed=0)
+        d = G.geodesic_distances(topo, rest)
+        emb = G.mds_embed(d, k=2, max_iters=200, tol=1e-12, seed=0)
         hist = emb.stress_history
         assert np.all(np.diff(hist) <= 0)
 
@@ -307,18 +306,18 @@ class TestMdsEmbed:
         m = M.grid_cloth(4, 4)
         topo = M.build_topology(m)
         rest = M.compute_rest_quantities(m, topo, 1.0)
-        dm = G.geodesic_distances(topo, rest)
-        emb = G.mds_embed(dm, k=dm.n, max_iters=300, tol=1e-12, seed=0)
-        classical_stress = G.stress(G._classical_scaling(dm.d, dm.n)[0], dm)
+        d = G.geodesic_distances(topo, rest)
+        emb = G.mds_embed(d, k=len(d), max_iters=300, tol=1e-12, seed=0)
+        classical_stress = G.stress(G._classical_scaling(d, len(d))[0], d)
         assert emb.final_stress <= classical_stress
 
     def test_determinism(self):
         m = M.grid_cloth(5, 4)
         topo = M.build_topology(m)
         rest = M.compute_rest_quantities(m, topo, 1.0)
-        dm = G.geodesic_distances(topo, rest)
-        a = G.mds_embed(dm, k=3, seed=7)
-        b = G.mds_embed(dm, k=3, seed=7)
+        d = G.geodesic_distances(topo, rest)
+        a = G.mds_embed(d, k=3, seed=7)
+        b = G.mds_embed(d, k=3, seed=7)
         assert a.coords.tobytes() == b.coords.tobytes()
 
     def test_guttman_matrix_bitwise_with_coincident_points(self):
@@ -339,9 +338,9 @@ class TestMdsEmbed:
         assert got.tobytes() == ref.tobytes()
 
     def test_k_too_large(self):
-        dm = G.DistanceMatrix(3, np.zeros((3, 3)))
+        d = np.zeros((3, 3))
         with pytest.raises(ValidationError, match="exceeds"):
-            G.mds_embed(dm, k=4)
+            G.mds_embed(d, k=4)
 
 
 def dense_start(d, k):
@@ -363,7 +362,7 @@ def grid_distances_and_dense_start(nx, ny):
     if (nx, ny) not in _GRID_STARTS:
         m = M.grid_cloth(nx, ny)
         topo = M.build_topology(m)
-        d = G.geodesic_distances(topo, M.compute_rest_quantities(m, topo, 1.0)).d
+        d = G.geodesic_distances(topo, M.compute_rest_quantities(m, topo, 1.0))
         _GRID_STARTS[nx, ny] = d, dense_start(d, 8)
     return _GRID_STARTS[nx, ny]
 
@@ -401,8 +400,7 @@ def assert_start_matches(coords, ref, d, k, compare_stress=True):
     assert np.all(np.abs(got_w - ref_w) <= 1e-9 * ref_w), (got_w, ref_w)
     if not compare_stress:
         return
-    dm = G.DistanceMatrix(len(d), d)
-    got_s, ref_s = G.stress(coords, dm), G.stress(ref[:, :k], dm)
+    got_s, ref_s = G.stress(coords, d), G.stress(ref[:, :k], d)
     assert abs(got_s - ref_s) <= 1e-9 * ref_s, (got_s, ref_s)
 
 
@@ -459,26 +457,27 @@ class TestClassicalScaling:
             assert "subspace" in method, method
 
     def test_collapsed_start_is_named_as_replaced(self):
-        emb = G.mds_embed(G.DistanceMatrix(3, np.zeros((3, 3))), k=2, seed=1)
+        emb = G.mds_embed(np.zeros((3, 3)), k=2, seed=1)
         assert emb.start_method == "seeded random, after dense"
 
     def test_start_is_independent_of_the_seed(self):
-        dm = G.DistanceMatrix(33 * 33, grid_distances_and_dense_start(33, 33)[0])
-        a = G.mds_embed(dm, k=8, max_iters=1, seed=0)
-        b = G.mds_embed(dm, k=8, max_iters=1, seed=5)
+        d = grid_distances_and_dense_start(33, 33)[0]
+        a = G.mds_embed(d, k=8, max_iters=1, seed=0)
+        b = G.mds_embed(d, k=8, max_iters=1, seed=5)
         assert a.start_method.startswith("subspace, ")
         assert a.coords.tobytes() == b.coords.tobytes()
 
 
 class TestPreprocessBytes:
-    """`.geo1` digests written by the earlier implementation (numpy-array
+    """`.geo1` digests with numpy's bundled OpenBLAS 0.3.31 on one thread.
+    The coordinates are those the earlier implementation wrote (numpy-array
     Dijkstra run to exhaustion, one-shot n x n x k distances, two distance
-    passes per SMACOF iteration), with numpy's bundled OpenBLAS 0.3.31 on one
-    thread; the 1,089-vertex one was re-recorded when starts above 512
-    vertices moved to the subspace iteration (the two smaller grids keep the
-    dense start and their digests). The bytes depend on the BLAS thread count
-    from a few hundred vertices up, so each run is a subprocess with one BLAS
-    thread."""
+    passes per SMACOF iteration), except the 1,089-vertex grid's, re-recorded
+    when starts above 512 vertices moved to the subspace iteration. All three
+    digests were re-recorded when the header lost its `"has_distances":
+    false, ` (24 bytes), with the coordinates' bytes unchanged. The bytes
+    depend on the BLAS thread count from a few hundred vertices up, so each
+    run is a subprocess with one BLAS thread."""
 
     @staticmethod
     def preprocess_digest(tmp_path, garment, config=None):
@@ -500,7 +499,7 @@ class TestPreprocessBytes:
     def test_grid10_asset_default_config(self, tmp_path):
         garment = Path(__file__).resolve().parents[1] / "assets" / "grid10.obj"
         assert self.preprocess_digest(tmp_path, garment) == (
-            "e3496b3207ce80bd5957530739caa1f73de5cd2464cd4d9fe522fab60190c47a")
+            "048b604d70ece4bd8d135baf9fad740b5f11a0f1dc39bf8a1bd1b3baf872a527")
 
     def test_grid20_four_smacof_iterations(self, tmp_path):
         # 400 rows is not a multiple of the distance block size
@@ -508,7 +507,7 @@ class TestPreprocessBytes:
         M.save_obj(garment, M.grid_cloth(20, 20))
         digest = self.preprocess_digest(
             tmp_path, garment, '{"geodesic": {"mds_max_iters": 4}}')
-        assert digest == "cff8059960c1f2e3d54c5fcce881a60c3fc72140356c7781f7cb951b8e0ec795"
+        assert digest == "ad265472a863f941b0185e9a18ee673a93671e9947d8c1bd74591f5945e7c71d"
 
     def test_grid33_four_smacof_iterations(self, tmp_path):
         # 1,089 rows: many blocks of pairwise distances with a partial last
@@ -517,7 +516,7 @@ class TestPreprocessBytes:
         M.save_obj(garment, M.grid_cloth(33, 33))
         digest = self.preprocess_digest(
             tmp_path, garment, '{"geodesic": {"mds_max_iters": 4}}')
-        assert digest == "378d34d5d4766b2b75a9b4875afce9873cef185b02658d6e9f06f170d699835a"
+        assert digest == "183ed2086f91d6700e4e9a378193e2b8a70f7446475647598a7af5647c163701"
 
     def test_grid33_two_processes_write_the_same_bytes(self, tmp_path):
         garment = tmp_path / "grid33.obj"
@@ -531,25 +530,29 @@ class TestPreprocessBytes:
 
 
 class TestEmbeddingFile:
-    def test_round_trip_with_distances(self, tmp_path):
-        topo, rest = chain_graph(6)
-        dm = G.geodesic_distances(topo, rest)
-        emb = G.mds_embed(dm, k=2, seed=3)
-        path = tmp_path / "chain.geo1"
-        G.save_embedding(path, emb, seed=3, distances=dm)
-        loaded, dist = G.load_embedding(path)
-        assert loaded.k == 2
-        assert loaded.coords.tobytes() == emb.coords.tobytes()
-        assert dist is not None and dist.d.tobytes() == dm.d.tobytes()
-
     def test_round_trip_without_distances(self, tmp_path):
-        topo, rest = chain_graph(4)
-        dm = G.geodesic_distances(topo, rest)
-        emb = G.mds_embed(dm, k=1, seed=0)
+        topo, rest = chain_graph(6)
+        emb = G.mds_embed(G.geodesic_distances(topo, rest), k=2, seed=3)
+        path = tmp_path / "chain.geo1"
+        G.save_embedding(path, emb, seed=3)
+        header, coords = G.load_embedding(path)
+        assert header == {"n": 6, "k": 2, "final_stress": emb.final_stress,
+                          "iterations": len(emb.stress_history), "seed": 3}
+        assert coords.shape == (6, 2) and coords.tobytes() == emb.coords.tobytes()
+
+    def test_file_with_has_distances_false_loads_the_same_coordinates(self, tmp_path):
+        # files written before the distance block was dropped carry the key
+        topo, rest = chain_graph(5)
+        emb = G.mds_embed(G.geodesic_distances(topo, rest), k=2, seed=0)
         path = tmp_path / "c.geo1"
         G.save_embedding(path, emb, seed=0)
-        loaded, dist = G.load_embedding(path)
-        assert dist is None and loaded.coords.shape == (4, 1)
+        new = path.read_bytes()
+        old = new.replace(b'"iterations"', b'"has_distances": false, "iterations"')
+        assert len(old) == len(new) + 24
+        path.write_bytes(old)
+        header, coords = G.load_embedding(path)
+        assert header["has_distances"] is False
+        assert coords.tobytes() == emb.coords.tobytes()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.geo1"

@@ -336,7 +336,7 @@ def test_world_edges_match_brute_force_property(seed, radius, lattice, strided):
 
 # -- differential tests: the load path against its per-element reference ------
 
-def reference_parse_obj(text, kind="garment"):
+def reference_parse_obj(text):
     """The line-at-a-time parser that the bulk `parse_obj` replaced."""
     vertices, triangles = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -371,7 +371,7 @@ def reference_parse_obj(text, kind="garment"):
         else:
             raise ObjParseError(line_no, f"unsupported OBJ keyword {key!r}")
     return M.Mesh(np.array(vertices, dtype=np.float64).reshape(-1, 3),
-                  np.array(triangles, dtype=np.intp).reshape(-1, 3), kind=kind)
+                  np.array(triangles, dtype=np.intp).reshape(-1, 3))
 
 
 def reference_build_topology(mesh):
@@ -403,7 +403,7 @@ def outcome(parse, text):
         m = parse(text)
     except ValidationError as e:
         return ("error", type(e), getattr(e, "line_no", None), str(e))
-    return ("mesh", m.kind, m.vertices.dtype, m.vertices.shape, m.vertices.tobytes(),
+    return ("mesh", m.vertices.dtype, m.vertices.shape, m.vertices.tobytes(),
             m.triangles.dtype, m.triangles.shape, m.triangles.tobytes())
 
 
