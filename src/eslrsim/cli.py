@@ -34,18 +34,21 @@ def _echo_config(cfg: RunConfig) -> None:
     print("effective config: " + json.dumps(config_to_dict(cfg), sort_keys=True))
 
 
-def _check_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {seed}")
+def _check_flag(flag: str, minimum: int, *values: int, maximum: int | None = None) -> None:
+    """The range check of a flag that sets no config key; a flag that sets one
+    is checked as that key's value, by `load_config`."""
+    for value in values:
+        if value < minimum:
+            raise ValidationError(f"{flag} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ValidationError(f"{flag} must be <= {maximum}, got {value}")
 
 
 # -- preprocess ---------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
-    _check_seed(args.seed)
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.embed_dim is not None:
-        cfg.geodesic.embed_dim = args.embed_dim
+    _check_flag("--seed", 0, args.seed)
+    cfg = load_config(args.config, {"geodesic.embed_dim": ("--embed-dim", args.embed_dim)})
     gcfg = cfg.geodesic
     _echo_config(cfg)
     t0 = time.perf_counter()
@@ -77,26 +80,23 @@ def cmd_preprocess(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    _check_seed(args.seed)
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.iters is not None:
-        cfg.trainer.iterations = args.iters
-    if args.seed is not None:
-        cfg.trainer.seed = args.seed
+    cfg = load_config(args.config, {"trainer.iterations": ("--iters", args.iters),
+                                    "trainer.seed": ("--seed", args.seed)})
     _echo_config(cfg)
     result = trainer.train(cfg, args.out, quiet=args.quiet)
     print(f"wrote {result.checkpoint_path} and {result.log_path}")
     return 0
 
 
-# -- checkpoint loading shared by simulate/eval/bench ---------------------------
+# -- checkpoint loading shared by simulate and eval -----------------------------
 
-def _load_model(ckpt_path) -> tuple[T.ModelParams, RunConfig]:
-    """The model a checkpoint describes; a config, parameter set or shape that
+def _load_model(ckpt_path, overrides: dict | None = None) -> tuple[T.ModelParams, RunConfig]:
+    """The model a checkpoint describes, its echoed config with `overrides`
+    applied (see `config_from_dict`); a config, parameter set or shape that
     does not fit raises ValidationError naming the file."""
     state, header = T.load_checkpoint(ckpt_path)
     try:
-        cfg = config_from_dict(header.get("config", {}))
+        cfg = config_from_dict(header.get("config", {}), overrides)
         # check the echoed sizes against the file's own before allocating a model
         m, h, k = cfg.model, cfg.model.hidden_dim, cfg.geodesic.embed_dim
         shapes = {name: a.shape for name, a in state.items()}
@@ -122,13 +122,8 @@ def _load_model(ckpt_path) -> tuple[T.ModelParams, RunConfig]:
 # -- simulate -------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    params, cfg = _load_model(args.ckpt)
-    if args.dt is not None:
-        if args.dt <= 0:
-            raise ValidationError(f"--dt must be > 0, got {args.dt}")
-        cfg.physics.dt = args.dt
-    if args.frames < 1:
-        raise ValidationError("--frames must be >= 1")
+    _check_flag("--frames", 1, args.frames)
+    params, cfg = _load_model(args.ckpt, {"physics.dt": ("--dt", args.dt)})
     _echo_config(cfg)
     spec = SceneSpec(garment=args.garment, body=args.body)
     scene = sim.scene_from_spec(spec, cfg)
@@ -177,6 +172,7 @@ def format_report(rows: list[dict], cfg: RunConfig) -> str:
 
 
 def cmd_eval(args) -> int:
+    _check_flag("--frames", 1, args.frames)
     params, cfg = _load_model(args.ckpt)
     _echo_config(cfg)
     with open(args.scenes, "r", encoding="utf-8") as fh:
@@ -212,11 +208,10 @@ def _best_time(fn, repeats: int = 5) -> float:
 
 
 def run_bench(sizes: list[int], layer_counts: list[int], cfg: RunConfig,
-              params: T.ModelParams | None = None, seed: int = 0) -> list[dict]:
+              seed: int = 0) -> list[dict]:
     """Wall-time per synthetic grid size for the short-range stack, the
     long-range stack, and the full step at each layer count."""
-    if params is None:
-        params = sim.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed)
+    params = sim.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed)
     rng = np.random.default_rng(seed)
     results = []
     for size in sizes:
@@ -270,27 +265,16 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    _check_seed(args.seed)
-    if args.ckpt:
-        params, cfg = _load_model(args.ckpt)
-    else:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        params = None
+    _check_flag("--seed", 0, args.seed)
+    cfg = load_config(args.config)
     sizes = _int_list(args.sizes, "--sizes")
     layer_counts = _int_list(args.layers, "--layers")
     if not sizes:
         raise ValidationError("--sizes needs at least one vertex count")
-    if min(sizes) < 4:
-        raise ValidationError(
-            f"--sizes entries must be >= 4 (the smallest grid is 2x2), got {min(sizes)}")
-    for n_layers in layer_counts:
-        if n_layers < 0:
-            raise ValidationError(f"--layers entries must be >= 0, got {n_layers}")
-        if n_layers > cfg.model.lsdmp_layers:
-            raise ValidationError(
-                f"--layers {n_layers} exceeds model depth {cfg.model.lsdmp_layers}")
+    _check_flag("--sizes entries", 4, *sizes)
+    _check_flag("--layers entries", 0, *layer_counts, maximum=cfg.model.lsdmp_layers)
     _echo_config(cfg)
-    results = run_bench(sizes, layer_counts, cfg, params, seed=args.seed)
+    results = run_bench(sizes, layer_counts, cfg, seed=args.seed)
     step_cols = "".join(f"  step(L={l})_ms" for l in layer_counts)
     print(f"{'vertices':>9}  {'lsdmp_ms':>9}  {'gsa_ms':>9}{step_cols}")
     for row in results:
@@ -348,11 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="wall-time scaling across mesh sizes")
-    p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
-    p.add_argument("--ckpt", default=None)
+    p.add_argument("--sizes", required=True,
+                   help="comma-separated vertex counts, each >= 4 (a 2x2 grid)")
     p.add_argument("--config", default=None)
     p.add_argument("--layers", default="10,15",
-                   help="comma-separated layer counts for full-step timing")
+                   help="comma-separated layer counts for full-step timing, "
+                        "each at most model.lsdmp_layers")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
     return parser

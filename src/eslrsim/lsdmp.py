@@ -249,8 +249,6 @@ def lsdmp_layer(lg: LatentGraph, params: ModelParams, name: str,
                 smoothing_steps: int) -> LatentGraph:
     """Message passing, `smoothing_steps` smoothing applications, output MLP
     with a residual around the smoothing stage; edge features carry forward."""
-    if smoothing_steps < 0:
-        raise ValueError("smoothing_steps must be >= 0")
     mesh_e, world_e = mp_edge_update(lg, params, name)
     v_a = mp_vertex_update(lg, mesh_e, world_e, params, name)
     v_p = v_a

@@ -7,6 +7,11 @@ up axis); everything else is nonnegative. Non-smooth spots are handled by
 construction: collision uses a cubic hinge (C2 at the margin), friction uses a
 Huber-smoothed tangential speed, and degenerate bending hinges are dropped from
 the sum before any tape op can divide by zero.
+
+The terms mean what they claim only for dt > 0, a margin > 0, huber_delta > 0,
+nonnegative stiffnesses and friction, and an up axis in 0..2. `PhysicsConfig`
+declares those ranges on its fields; `config` checks them once, when a run
+config is built, and nothing here checks them again.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ValidationError
 from .mesh import RestState, Topology
 
 
@@ -34,23 +38,16 @@ def default_loss_weights() -> dict[str, float]:
 
 @dataclass
 class PhysicsConfig:
-    k_stretch: float = 50.0  # N/m
-    k_bend: float = 1e-4  # N*m
-    collision_margin: float = 0.01  # meters (epsilon)
-    k_collision: float = 1.0
+    k_stretch: float = field(default=50.0, metadata={">=": 0})  # N/m
+    k_bend: float = field(default=1e-4, metadata={">=": 0})  # N*m
+    collision_margin: float = field(default=0.01, metadata={">": 0})  # meters (epsilon)
+    k_collision: float = field(default=1.0, metadata={">=": 0})
     gravity: float = 9.81  # m/s^2, downward along up_axis
-    friction_mu: float = 0.3
-    dt: float = 1.0 / 30.0  # seconds
-    up_axis: int = 1
-    huber_delta: float = 1e-6  # meters, friction smoothing threshold
+    friction_mu: float = field(default=0.3, metadata={">=": 0})
+    dt: float = field(default=1.0 / 30.0, metadata={">": 0})  # seconds
+    up_axis: int = field(default=1, metadata={">=": 0, "<=": 2})
+    huber_delta: float = field(default=1e-6, metadata={">": 0})  # meters, friction smoothing
     weights: dict[str, float] = field(default_factory=default_loss_weights)
-
-    def __post_init__(self):
-        if self.collision_margin <= 0 or self.dt <= 0:
-            raise ValidationError("collision_margin and dt must be > 0")
-        for name in ("k_stretch", "k_bend", "k_collision"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
 
 
 TERM_FORMULAS = {

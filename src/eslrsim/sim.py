@@ -46,15 +46,10 @@ class SimState:
     x_b: np.ndarray  # (n_B, 3) body positions (kinematic)
     q_b: np.ndarray  # (n_B, 3) body velocities
     normals_b: np.ndarray  # (n_B, 3) body vertex normals at x_b
-    dt: float
     # World edges of (x_g, x_b), built on first use by _world_edges and kept so
     # no frame rebuilds them. Assigning x_g or x_b drops them; never change
     # those arrays in place.
     world: WorldEdgeSet | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError(f"dt must be > 0, got {self.dt}")
 
     def __setattr__(self, name, value):
         if name in ("x_g", "x_b"):
@@ -214,7 +209,7 @@ def garment_assets_from_mesh(mesh: Mesh, cfg: RunConfig, embedding: np.ndarray,
             f"{mesh.n_vertices} vertices and embedding dimension "
             f"geodesic.embed_dim={cfg.geodesic.embed_dim}; re-run preprocess")
     radius = cfg.mesh.world_edge_radius
-    if radius <= 0:
+    if radius == 0:
         radius = cfg.mesh.world_edge_radius_factor * mean_edge_length(mesh, topo)
     return GarmentAssets(mesh=mesh, topo=topo, rest=rest, embedding=embedding,
                          world_radius=radius)
@@ -285,10 +280,9 @@ def initial_state(garment: GarmentAssets, motion: BodyMotion, cfg: RunConfig,
     """Rest garment lifted to the placement height, at rest; body at frame t0.
     Warns if the placement already penetrates beyond twice the margin."""
     x_g = garment.mesh.vertices + np.array([0.0, cfg.sim.placement_height, 0.0])
-    dt = cfg.physics.dt
-    x_b, q_b, normals_b = body_motion_eval(motion, t0 * dt)
+    x_b, q_b, normals_b = body_motion_eval(motion, t0 * cfg.physics.dt)
     state = SimState(t=t0, x_g=x_g, q_g=np.zeros_like(x_g), x_b=x_b, q_b=q_b,
-                     normals_b=normals_b, dt=dt)
+                     normals_b=normals_b)
     pairs = _world_edges(state, garment.world_radius).pairs
     if len(pairs):
         dist = _nearest_body_signed_distance(x_g, x_b, pairs, normals_b)
@@ -328,13 +322,13 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     accel = T.mul(T.mlp_apply(params, "decoder", v_prime),
                   params["decoder.accel_scale"])
 
-    dt = state.dt
+    dt = cfg.physics.dt
     q_next = T.add(Tensor(state.q_g), T.mul(accel, dt))
     x_next = T.add(Tensor(state.x_g), T.mul(q_next, dt))
     t1 = state.t + 1
     x_b, q_b, normals_b = body_motion_eval(scene.body, t1 * dt)
     next_state = SimState(t=t1, x_g=x_next.data.copy(), q_g=q_next.data.copy(),
-                          x_b=x_b, q_b=q_b, normals_b=normals_b, dt=dt)
+                          x_b=x_b, q_b=q_b, normals_b=normals_b)
     return StepOutput(accel=accel, x_next=x_next, q_next=q_next,
                       next_state=next_state)
 

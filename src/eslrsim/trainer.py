@@ -58,10 +58,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 def sample_scene(cfg: TrainerConfig, n_scenes: int,
                  rng: np.random.Generator) -> tuple[int, int]:
     """Uniform (scene index, frame offset) draw; advances the generator."""
-    if n_scenes < 1:
-        raise ValidationError("trainer needs at least one scene")
     scene_idx = int(rng.integers(n_scenes))
-    t_offset = int(rng.integers(max(1, cfg.time_horizon)))
+    t_offset = int(rng.integers(cfg.time_horizon))
     return scene_idx, t_offset
 
 
@@ -95,8 +93,6 @@ def train(cfg: RunConfig, out_dir, scenes: list[sim.Scene] | None = None,
     checkpoint stays on disk.
     """
     tcfg = cfg.trainer
-    if tcfg.iterations < 1 or tcfg.learning_rate < 0:
-        raise ValidationError("iterations must be >= 1 and learning rate >= 0")
     if tcfg.warmup_mode != "model":
         raise ValidationError(
             f"trainer.warmup_mode must be 'model', got {tcfg.warmup_mode!r}")

@@ -128,6 +128,15 @@ class TestPreprocess:
                           max_iters=500, tol=1e-9, seed=0)
         assert np.isclose(stress, ref.final_stress, rtol=1e-5)
 
+    def test_embed_dim_zero_exits_2_before_writing(self, tmp_path, garment_obj, capsys):
+        out = tmp_path / "grid.geo1"
+        rc = cli.main(["preprocess", "--garment", str(garment_obj), "--embed-dim", "0",
+                       "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "--embed-dim must be >= 1, got 0" in err and "'geodesic.embed_dim'" in err
+        assert "Traceback" not in err
+
     def test_k_larger_than_n_exits_2(self, tmp_path, garment_obj, capsys):
         rc = cli.main(["preprocess", "--garment", str(garment_obj),
                        "--embed-dim", "99"])
@@ -220,6 +229,16 @@ class TestTrainCli:
         for section, key, value in REMOVED_KEYS
     ] + [
         ({"trainer": {"seed": -1}}, "config key 'trainer.seed' must be >= 0"),
+    ] + [
+        # exclusive lower bounds and the upper bound of the schema
+        ({"mesh": {"density": -1}}, "config key 'mesh.density' must be > 0"),
+        ({"mesh": {"world_edge_radius_factor": -1}},
+         "config key 'mesh.world_edge_radius_factor' must be > 0"),
+        ({"physics": {"collision_margin": 0}},
+         "config key 'physics.collision_margin' must be > 0"),
+        ({"physics": {"dt": 0}}, "config key 'physics.dt' must be > 0"),
+        ({"physics": {"huber_delta": 0}}, "config key 'physics.huber_delta' must be > 0"),
+        ({"physics": {"up_axis": 3}}, "config key 'physics.up_axis' must be <= 2"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, bad, named):
         cfg_path = tmp_path / "bad.json"
@@ -237,6 +256,13 @@ class TestTrainCli:
         ("model", "lsdmp_layers", -1),
         ("model", "gsa_blocks", -2),
         ("trainer", "time_horizon", -1),
+        ("mesh", "world_edge_radius", -1),
+        ("physics", "k_stretch", -1),
+        ("physics", "k_bend", -1e-4),
+        ("physics", "k_collision", -1),
+        ("physics", "friction_mu", -1),
+        ("physics", "up_axis", -1),
+        ("trainer", "learning_rate", -0.1),
     ])
     def test_out_of_range_config_exits_2(self, tmp_path, garment_obj, capsys,
                                          section, key, value):
@@ -252,6 +278,23 @@ class TestTrainCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{section}.{key}" in err and ">=" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("trainer", "learning_rate", 0), ("mesh", "world_edge_radius", 0),
+        ("physics", "up_axis", 0), ("physics", "up_axis", 2), ("physics", "k_stretch", 0),
+    ])
+    def test_range_bounds_themselves_load(self, section, key, value):
+        cfg = config_from_dict({section: {key: value}})
+        assert getattr(getattr(cfg, section), key) == value
+
+    def test_iters_zero_exits_2_naming_flag_and_key(self, tmp_path, garment_obj, capsys):
+        cfg_path = small_config_file(tmp_path, garment_obj, iterations=1)
+        rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                       "--iters", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--iters must be >= 1, got 0" in err and "'trainer.iterations'" in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
 
     def test_drift_warmup_mode_exits_2(self, tmp_path, garment_obj, capsys):
         # "model" is the only warm-up; the key stays for configs that set it
@@ -307,12 +350,16 @@ class TestSimulateCli:
         assert (out / "metrics.jsonl").exists()
         assert (out / "config.json").exists()
 
-    def test_dt_zero_exits_2(self, tmp_path, garment_obj, trained):
+    def test_dt_zero_exits_2(self, tmp_path, garment_obj, trained, capsys):
+        capsys.readouterr()
         rc = cli.main(["simulate", "--ckpt", str(trained), "--garment",
                        str(garment_obj), "--body", "static_sphere",
                        "--frames", "1", "--dt", "0",
                        "--out", str(tmp_path / "x")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert "--dt must be > 0, got 0.0" in err and "'physics.dt'" in err
+        assert "Traceback" not in err and not (tmp_path / "x").exists()
 
     def test_embedding_dimension_mismatch_exits_2(self, tmp_path, trained, capsys):
         other = tmp_path / "other.obj"
@@ -542,6 +589,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--seed must be >= 0, got -1" in err and "Traceback" not in err
         assert not out.exists()
+        if command == "train":  # train's --seed sets a config key
+            assert "'trainer.seed'" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "eval"])
+    def test_zero_frames_exits_2_naming_the_flag(self, tmp_path, garment_obj, trained,
+                                                capsys, command):
+        scenes = tmp_path / "scenes.json"
+        scenes.write_text(json.dumps([{"garment": str(garment_obj)}]))
+        args = {"simulate": ["--garment", str(garment_obj), "--body", "static_sphere",
+                             "--out", str(tmp_path / "frames")],
+                "eval": ["--scenes", str(scenes), "--report", str(tmp_path / "r.txt")]}
+        capsys.readouterr()
+        rc = cli.main([command, "--ckpt", str(trained), "--frames", "0", *args[command]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--frames must be >= 1, got 0" in err and "Traceback" not in err
 
 
 # -- fuzz: mutated OBJ garments through `preprocess` ---------------------------

@@ -193,7 +193,7 @@ class TestStep:
         state.q_g = np.full_like(state.q_g, 0.05)
         out = S.step(state, params, scene)
         assert np.array_equal(out.accel.data, np.zeros_like(state.x_g))
-        assert np.array_equal(out.x_next.data, state.x_g + state.dt * state.q_g)
+        assert np.array_equal(out.x_next.data, state.x_g + cfg.physics.dt * state.q_g)
 
     def test_static_zero_accel_keeps_position(self):
         scene, cfg = small_scene()
@@ -231,8 +231,8 @@ class TestStep:
         accel = T.mul(T.mlp_apply(params, "decoder",
                                   T.mlp_apply(params, "fusion", fused)),
                       params["decoder.accel_scale"])
-        q_next = state.q_g + state.dt * accel.data
-        x_next = state.x_g + state.dt * q_next
+        q_next = state.q_g + cfg.physics.dt * accel.data
+        x_next = state.x_g + cfg.physics.dt * q_next
         assert np.allclose(out.accel.data, accel.data, atol=1e-12)
         assert np.allclose(out.x_next.data, x_next, atol=1e-12)
 
@@ -251,7 +251,7 @@ class TestStep:
         out = S.step(state, params, scene)
         assert out.accel.data.shape == (scene.garment.mesh.n_vertices, 3)
         # the body advanced exactly kinematically
-        expected_b, _, _ = S.body_motion_eval(scene.body, (state.t + 1) * state.dt)
+        expected_b, _, _ = S.body_motion_eval(scene.body, (state.t + 1) * cfg.physics.dt)
         assert np.array_equal(out.next_state.x_b, expected_b)
 
     def test_gradients_flow_to_all_model_parts(self):
@@ -325,7 +325,7 @@ class TestRollout:
         for frame in range(4):
             out = S.step(cur, params, scene)
             cur = out.next_state
-        assert np.allclose(cur.x_g, x0 + 4 * state.dt * q0, atol=1e-14)
+        assert np.allclose(cur.x_g, x0 + 4 * cfg.physics.dt * q0, atol=1e-14)
         assert np.array_equal(cur.q_g, q0)
 
     def test_frames_and_metrics_written(self, tmp_path):

@@ -94,10 +94,11 @@ class TestSampleScene:
         offsets = {TR.sample_scene(cfg, 2, rng)[1] for _ in range(500)}
         assert offsets == set(range(7))
 
-    def test_empty_scene_list(self):
-        cfg = config_from_dict({}).trainer
+    def test_empty_scene_list(self, tmp_path):
+        # `train` rejects an empty scene list before any scene is drawn
+        cfg = config_from_dict({"trainer": {"scenes": []}})
         with pytest.raises(ValidationError, match="scene"):
-            TR.sample_scene(cfg, 0, np.random.default_rng(0))
+            TR.train(cfg, tmp_path / "run")
 
 
 def tiny_run_config(tmp_path, iterations=3, lr=1e-4, seed=0):
