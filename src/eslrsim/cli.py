@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -225,14 +226,13 @@ def run_bench(sizes: list[int], layer_counts: list[int], cfg: RunConfig,
         state = sim.initial_state(garment, scene.body, cfg)
         world = np.zeros((0, 2), dtype=np.intp)
         edges = garment.topo.mesh_edges
-        plan = lsdmp.MeshPlan(edges, n, len(edges), n)
+        plan = lsdmp.MeshPlan(edges, n, len(edges), mesh.vertices)
 
         def encode_once():
             positions = state.x_g
             velocities = state.q_g
             normals = np.zeros_like(positions)
-            return lsdmp.encode(params, positions, velocities,
-                                mesh.vertices, normals, plan, world)
+            return lsdmp.encode(params, positions, velocities, normals, plan, world)
 
         with T.no_grad():
             lg = encode_once()
@@ -242,19 +242,13 @@ def run_bench(sizes: list[int], layer_counts: list[int], cfg: RunConfig,
                 lg.vertex_feats, embedding, params, cfg.model.gsa_blocks))
             step_times = {}
             for n_layers in layer_counts:
-                scene.cfg = _with_layers(cfg, n_layers)
+                model = replace(cfg.model, lsdmp_layers=n_layers)
+                layered = replace(scene, cfg=replace(cfg, model=model))
                 step_times[n_layers] = _best_time(
-                    lambda: sim.step(state, params, scene))
-            scene.cfg = cfg
+                    lambda: sim.step(state, params, layered))
         results.append({"vertices": n, "lsdmp_s": t_lsdmp, "gsa_s": t_gsa,
                         "step_s": step_times})
     return results
-
-
-def _with_layers(cfg: RunConfig, n_layers: int) -> RunConfig:
-    clone = config_from_dict(config_to_dict(cfg))
-    clone.model.lsdmp_layers = n_layers
-    return clone
 
 
 def _int_list(text: str, flag: str) -> list[int]:

@@ -198,19 +198,11 @@ def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
 
 
 def _raw_stress(d: np.ndarray, pd: np.ndarray) -> float:
+    """Raw stress of the pairwise distances `pd` against `d`: the i != j double
+    sum, each unordered pair counted twice."""
     r = d - pd
     np.multiply(r, r, out=r)
     return float(r.sum())  # diagonal contributes zero
-
-
-def stress(coords: np.ndarray, d: np.ndarray) -> float:
-    """Raw stress against the (n, n) distances `d`, with the i != j double
-    sum (each unordered pair counted twice)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[0] != d.shape[0]:
-        raise ValidationError(
-            f"stress: coords rows {coords.shape[0]} != distance matrix size {d.shape[0]}")
-    return _raw_stress(d, _pairwise_distances(coords))
 
 
 # The subspace start overtakes the dense one near 300 vertices at k = 8 (one

@@ -8,6 +8,10 @@ stage. A layer therefore widens the receptive field by exactly 1 + s hops.
 
 Body vertices take part in message passing (world edges carry the contact
 signal) but pass through smoothing unchanged.
+
+The encoder's static inputs, the vertex kinds and the mesh edges' rest
+features, are built once per scene with the rest of the `MeshPlan`; `encode`
+adds the step's positions, velocities and normals.
 """
 
 from __future__ import annotations
@@ -41,7 +45,14 @@ class EdgeIncidence:
 
 class MeshPlan:
     """Everything LSDMP derives from the fixed combined mesh, built once per
-    scene: the edge incidences and the smoothing operator's message routing.
+    scene: the encoder's static inputs, the edge incidences and the smoothing
+    operator's message routing.
+
+    The static inputs are the vertex-kind one-hot `kinds` (garment rows
+    first), the mesh edges' rest features `rest_edge_feats` (relative rest
+    position and its norm, `_relative(rest_positions, mesh_edges)`) and
+    `garment_rows`, the gather of the garment rows that the long-range
+    processor and the fusion read.
 
     Smoothing message r goes to vertex `[g0; g1][r]` from `[g1; g0][r]` along
     garment edge `r mod E_g` (g0, g1: the garment edges' endpoints).
@@ -54,11 +65,16 @@ class MeshPlan:
     """
 
     def __init__(self, mesh_edges: np.ndarray, n_garment: int, n_garment_edges: int,
-                 n_total: int):
+                 rest_positions: np.ndarray):
+        n_total = len(rest_positions)
         self.mesh_edges = mesh_edges
         self.n_garment = n_garment
         self.n_garment_edges = n_garment_edges
         self.n_total = n_total
+        is_garment = np.arange(n_total) < n_garment
+        self.kinds = np.stack([is_garment, ~is_garment], axis=1).astype(np.float64)
+        self.rest_edge_feats = _relative(rest_positions, mesh_edges)
+        self.garment_rows = T.Incidence(np.arange(n_garment), n_total)
         self.edges = EdgeIncidence(mesh_edges, n_total)
         ge = mesh_edges[:n_garment_edges]
         self.garment = EdgeIncidence(ge, n_total)
@@ -68,7 +84,7 @@ class MeshPlan:
         self.neighbours_back = T.Incidence(src, n_total, rows=dst)
         counts = self.neighbours.counts
         self.denom = np.maximum(counts, 1.0)[:, None]
-        active = (counts > 0) & (np.arange(n_total) < n_garment)
+        active = (counts > 0) & is_garment
         self.mask = active.astype(np.float64)[:, None]
         self.keep = 1.0 - self.mask
 
@@ -94,40 +110,32 @@ def init_encoder_params(params: ModelParams, hidden_dim: int,
                hidden_dim, rng, norm=True)
 
 
+def _relative(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(E, 4) edge features: relative position of the first endpoint to the
+    second, then its norm."""
+    rel = positions[edges[:, 0]] - positions[edges[:, 1]]
+    return np.concatenate([rel, np.linalg.norm(rel, axis=1, keepdims=True)], axis=1)
+
+
 def assemble_input_features(positions: np.ndarray, velocities: np.ndarray,
-                            rest_positions: np.ndarray, normals: np.ndarray,
-                            n_garment: int, mesh_edges: np.ndarray,
+                            normals: np.ndarray, plan: MeshPlan,
                             world_edges: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw (pre-encoder) features; everything relative, so translation-invariant
-    except the vertex velocity/normal channels."""
-    n = len(positions)
-    kind = np.zeros((n, 2))
-    kind[:n_garment, 0] = 1.0
-    kind[n_garment:, 1] = 1.0
-    vertex = np.concatenate([kind, velocities, normals], axis=1)
-
-    def edge_feats(edges, with_rest):
-        rel = positions[edges[:, 0]] - positions[edges[:, 1]]
-        norm = np.linalg.norm(rel, axis=1, keepdims=True)
-        parts = [rel, norm]
-        if with_rest:
-            rel0 = rest_positions[edges[:, 0]] - rest_positions[edges[:, 1]]
-            parts += [rel0, np.linalg.norm(rel0, axis=1, keepdims=True)]
-        return np.concatenate(parts, axis=1) if len(edges) else \
-            np.zeros((0, 8 if with_rest else 4))
-
-    return vertex, edge_feats(mesh_edges, True), edge_feats(world_edges, False)
+    except the vertex velocity/normal channels. The kinds and the rest edge
+    features come from the plan."""
+    vertex = np.concatenate([plan.kinds, velocities, normals], axis=1)
+    mesh = np.concatenate([_relative(positions, plan.mesh_edges), plan.rest_edge_feats],
+                          axis=1)
+    return vertex, mesh, _relative(positions, world_edges)
 
 
 def encode(params: ModelParams, positions: np.ndarray, velocities: np.ndarray,
-           rest_positions: np.ndarray, normals: np.ndarray, plan: MeshPlan,
-           world_edges: np.ndarray) -> LatentGraph:
+           normals: np.ndarray, plan: MeshPlan, world_edges: np.ndarray) -> LatentGraph:
     """Build the latent graph for one step from plain state arrays; the
     world-edge incidences are built here, once per step."""
-    vertex, mesh_e, world_e = assemble_input_features(
-        positions, velocities, rest_positions, normals, plan.n_garment,
-        plan.mesh_edges, world_edges)
+    vertex, mesh_e, world_e = assemble_input_features(positions, velocities, normals,
+                                                      plan, world_edges)
     return LatentGraph(
         vertex_feats=T.mlp_apply(params, "encoder.vertex", Tensor(vertex)),
         mesh_edge_feats=T.mlp_apply(params, "encoder.mesh_edge", Tensor(mesh_e)),
@@ -203,14 +211,14 @@ def smoothing_edge_rows(mesh_e: Tensor, lg: LatentGraph) -> list[np.ndarray]:
 
 
 def laplacian_smooth_step(v: Tensor, mesh_e: Tensor, lg: LatentGraph,
-                          edge_rows: list[np.ndarray] | None = None) -> Tensor:
+                          edge_rows: list[np.ndarray]) -> Tensor:
     """Average of (neighbor vertex + connecting edge) features over garment mesh
     edges; parameter-free. Body vertices and neighborless vertices pass through.
 
     One tape op. Each message `v[src] + e` is added straight into its
     destination's sum in ascending message order, so the values equal those of
     gathering all messages and taking `segment_mean`. `edge_rows` are
-    `smoothing_edge_rows(mesh_e, lg)`, gathered here when not given. The
+    `smoothing_edge_rows(mesh_e, lg)`, which a layer gathers once. The
     backward lists `v` twice, the scatter through the neighbour means first
     and the pass-through `g * keep` second, in the order the separate
     gather/mean/mask ops accumulated them.
@@ -218,8 +226,6 @@ def laplacian_smooth_step(v: Tensor, mesh_e: Tensor, lg: LatentGraph,
     plan = lg.plan
     if plan.n_garment_edges == 0:
         return v
-    if edge_rows is None:
-        edge_rows = smoothing_edge_rows(mesh_e, lg)
     nb = plan.neighbours
     mean = nb.add_steps((v.data[src] + e for src, e in zip(nb.steps, edge_rows)),
                         v.data.shape[1:])

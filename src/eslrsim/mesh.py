@@ -274,26 +274,26 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def compute_rest_quantities(mesh: Mesh, topo: Topology, density: float) -> RestState:
-    """Edge rest lengths, lumped vertex masses (one-third area rule), rest angles."""
+    """Edge rest lengths, lumped vertex masses (one-third area rule), rest angles.
+    `Mesh` has already rejected degenerate triangles; a mesh whose rest
+    arithmetic overflows float64 anywhere is rejected here."""
     if density <= 0:
         raise ValidationError(f"density must be > 0, got {density}")
-    areas = triangle_areas(mesh.vertices, mesh.triangles)
-    if np.any(areas <= TRIANGLE_AREA_EPS):
-        raise ValidationError("degenerate (zero-area) triangle in rest mesh")
-    diffs = mesh.vertices[topo.mesh_edges[:, 0]] - mesh.vertices[topo.mesh_edges[:, 1]]
-    lengths = np.linalg.norm(diffs, axis=1)
-    if not (np.isfinite(areas).all() and np.isfinite(lengths).all()):
-        raise ValidationError("rest mesh too large: a triangle area or edge length "
-                              "overflows float64")
-    masses = np.zeros(mesh.n_vertices)
-    for col in range(3):
-        np.add.at(masses, mesh.triangles[:, col], areas / 3.0)
-    masses *= density
-    return RestState(
-        edge_rest_lengths=lengths,
-        vertex_masses=masses,
-        rest_dihedral_angles=dihedral_angles(mesh.vertices, topo.dihedral_pairs),
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            areas = triangle_areas(mesh.vertices, mesh.triangles)
+            v, e = mesh.vertices, topo.mesh_edges
+            lengths = np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
+            masses = np.zeros(mesh.n_vertices)
+            for col in range(3):
+                np.add.at(masses, mesh.triangles[:, col], areas / 3.0)
+            masses *= density
+            angles = dihedral_angles(mesh.vertices, topo.dihedral_pairs)
+    except FloatingPointError:
+        raise ValidationError("rest mesh too large: a rest area, length, mass or "
+                              "angle overflows float64") from None
+    return RestState(edge_rest_lengths=lengths, vertex_masses=masses,
+                     rest_dihedral_angles=angles)
 
 
 # -- world edges -----------------------------------------------------------
@@ -340,8 +340,3 @@ def grid_cloth(nx: int, ny: int, size_x: float = 1.0, size_y: float = 1.0) -> Me
             tris.append((v0, v1, v3))
             tris.append((v0, v3, v2))
     return Mesh(verts, np.array(tris, dtype=np.intp))
-
-
-def mean_edge_length(mesh: Mesh, topo: Topology) -> float:
-    d = mesh.vertices[topo.mesh_edges[:, 0]] - mesh.vertices[topo.mesh_edges[:, 1]]
-    return float(np.linalg.norm(d, axis=1).mean())

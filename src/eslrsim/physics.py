@@ -83,10 +83,6 @@ def bending_energy(pos, topo: Topology, rest: RestState, cfg: PhysicsConfig,
     """
     pos = T.as_tensor(pos)
     hinges = topo.dihedral_pairs
-    if len(hinges) == 0:
-        if diagnostics is not None:
-            diagnostics["degenerate_hinges"] = 0
-        return T.Tensor(0.0)
     p = pos.data
     e_np = p[hinges[:, 1]] - p[hinges[:, 0]]
     n1_np = np.cross(e_np, p[hinges[:, 2]] - p[hinges[:, 0]])

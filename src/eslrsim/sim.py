@@ -26,8 +26,8 @@ from . import tensor as T
 from .config import ModelConfig, RunConfig, SceneSpec
 from .errors import RolloutError, ValidationError
 from .mesh import (Mesh, RestState, Topology, WorldEdgeSet, build_topology,
-                   build_world_edges, compute_rest_quantities, load_obj,
-                   mean_edge_length, obj_text, vertex_normals)
+                   build_world_edges, compute_rest_quantities, load_obj, obj_text,
+                   vertex_normals)
 from .tensor import ModelParams, Tensor
 
 PRESETS = ("static_sphere", "swinging_capsule", "translating_capsule")
@@ -96,8 +96,7 @@ class Scene:
     """Everything static for a garment/body pairing, precombined for encode."""
     garment: GarmentAssets
     body: BodyMotion
-    plan: lsdmp.MeshPlan  # combined mesh, garment edge rows first
-    rest_positions: np.ndarray  # combined garment rest + body template
+    plan: lsdmp.MeshPlan  # combined mesh, garment rows and edge rows first
     cfg: RunConfig
 
 
@@ -181,19 +180,18 @@ def body_motion_eval(motion: BodyMotion, time: float
         vel = np.array([motion.amplitude, 0.0, 0.0])
         pos = base + vel * time
         return pos, np.tile(vel, (len(base), 1)), vertex_normals(pos, triangles)
-    if motion.preset == "swinging_capsule":
-        omega = 2 * np.pi * motion.frequency
-        theta = motion.amplitude * np.sin(omega * time)
-        dtheta = motion.amplitude * omega * np.cos(omega * time)
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        rel = base - motion.pivot
-        pos = rel @ rot.T + motion.pivot
-        # d/dt R(theta) x = dtheta * (z_hat x (R x))
-        spun = pos - motion.pivot
-        vel = dtheta * np.cross(np.array([0.0, 0.0, 1.0]), spun)
-        return pos, vel, vertex_normals(pos, triangles)
-    raise ValidationError(f"unknown body preset {motion.preset!r}")
+    # swinging_capsule; make_body_motion admits no other preset
+    omega = 2 * np.pi * motion.frequency
+    theta = motion.amplitude * np.sin(omega * time)
+    dtheta = motion.amplitude * omega * np.cos(omega * time)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    rel = base - motion.pivot
+    pos = rel @ rot.T + motion.pivot
+    # d/dt R(theta) x = dtheta * (z_hat x (R x))
+    spun = pos - motion.pivot
+    vel = dtheta * np.cross(np.array([0.0, 0.0, 1.0]), spun)
+    return pos, vel, vertex_normals(pos, triangles)
 
 
 # -- assets and scenes -------------------------------------------------------
@@ -210,7 +208,7 @@ def garment_assets_from_mesh(mesh: Mesh, cfg: RunConfig, embedding: np.ndarray,
             f"geodesic.embed_dim={cfg.geodesic.embed_dim}; re-run preprocess")
     radius = cfg.mesh.world_edge_radius
     if radius == 0:
-        radius = cfg.mesh.world_edge_radius_factor * mean_edge_length(mesh, topo)
+        radius = cfg.mesh.world_edge_radius_factor * float(rest.edge_rest_lengths.mean())
     return GarmentAssets(mesh=mesh, topo=topo, rest=rest, embedding=embedding,
                          world_radius=radius)
 
@@ -233,12 +231,10 @@ def build_scene(garment: GarmentAssets, body: BodyMotion, cfg: RunConfig) -> Sce
     n_g = garment.mesh.n_vertices
     combined = np.concatenate(
         [garment.topo.mesh_edges, body_topo.mesh_edges + n_g], axis=0)
-    n_total = n_g + body.template.n_vertices
+    rest_positions = np.concatenate([garment.mesh.vertices, body.template.vertices])
     return Scene(garment=garment, body=body,
                  plan=lsdmp.MeshPlan(combined, n_g, len(garment.topo.mesh_edges),
-                                     n_total),
-                 rest_positions=np.concatenate(
-                     [garment.mesh.vertices, body.template.vertices], axis=0),
+                                     rest_positions),
                  cfg=cfg)
 
 
@@ -264,9 +260,8 @@ def build_model_params(model: ModelConfig, embed_dim: int, seed: int) -> ModelPa
     h = model.hidden_dim
     lsdmp.init_encoder_params(params, h, rng)
     lsdmp.init_lsdmp_params(params, model.lsdmp_layers, h, rng, zero_output=True)
-    if model.gsa_blocks > 0:
-        gsa_mod.init_gsa_params(params, model.gsa_blocks, h, embed_dim, rng,
-                                zero_output=True)
+    gsa_mod.init_gsa_params(params, model.gsa_blocks, h, embed_dim, rng,
+                            zero_output=True)
     T.mlp_init(params, "fusion", 2 * h, h, h, rng, norm=True)
     T.mlp_init(params, "decoder", h, h, 3, rng, zero_output=True)
     params.add("decoder.accel_scale", np.array([1.0]))
@@ -308,11 +303,11 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     normals = np.concatenate(
         [vertex_normals(state.x_g, scene.garment.mesh.triangles), state.normals_b])
 
-    lg = lsdmp.encode(params, positions, velocities, scene.rest_positions,
-                      normals, scene.plan, world_combined)
+    lg = lsdmp.encode(params, positions, velocities, normals, scene.plan,
+                      world_combined)
     v_short = lsdmp.lsdmp_forward(lg, params, cfg.model.lsdmp_layers,
                                   cfg.model.smoothing_steps).vertex_feats
-    garment_rows = np.arange(n_g)
+    garment_rows = scene.plan.garment_rows
     v_long = gsa_mod.gsa_forward(T.gather_rows(lg.vertex_feats, garment_rows),
                                  scene.garment.embedding, params,
                                  cfg.model.gsa_blocks)

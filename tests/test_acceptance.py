@@ -71,7 +71,7 @@ def perturbation_spread(n_layers):
         L.init_layer_params(params, f"lsdmp.layer{i}", h, rng)
     edges = np.array([[i, i + 1] for i in range(n - 1)], dtype=np.intp)
     # the graph plan is fixed; only the vertex features change between runs
-    plan = L.MeshPlan(edges, n, n - 1, n)
+    plan = L.MeshPlan(edges, n, n - 1, np.zeros((n, 3)))
     world_plan = L.EdgeIncidence(np.zeros((0, 2), dtype=np.intp), n)
 
     def forward(feats):

@@ -110,6 +110,24 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert rc == 2 and "degenerate" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("vertex, axis", [(7, 0), (0, 1)])
+    @pytest.mark.parametrize("big, code", [
+        (1e100, 0), (1e120, 2), (1e140, 2), (1e160, 2), (1e300, 2)])
+    def test_one_huge_coordinate_loads_or_exits_2(self, tmp_path, capsys, vertex, axis,
+                                                  big, code):
+        # from 1e120 the rest hinge angles overflow, from 1e160 the areas too;
+        # either way the rest arithmetic rejects the mesh without a warning
+        m = M.grid_cloth(4, 4)
+        m.vertices[vertex, axis] = big
+        path = tmp_path / "huge.obj"
+        M.save_obj(path, m)
+        rc = cli.main(["preprocess", "--garment", str(path), "--embed-dim", "1"])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        if code == 2:
+            assert "rest mesh too large" in err and "Traceback" not in err
+
     def test_printed_stress_matches_solver(self, tmp_path, capsys):
         # a triangle mesh is never exactly 1-D isometric; the printed number
         # must be the solver's converged stress (chain-graph embeddability to

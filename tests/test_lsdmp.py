@@ -7,15 +7,28 @@ from eslrsim import tensor as T
 def latent_graph(vertex_feats, mesh_edge_feats, world_edge_feats, mesh_edges,
                  world_edges, n_garment, n_garment_edges):
     """LatentGraph with its MeshPlan and world-edge incidences built here, as
-    sim.build_scene and lsdmp.encode build them."""
+    sim.build_scene and lsdmp.encode build them. The layers never read the
+    plan's rest features (only `encode` does), so the rest positions are zero."""
     n = vertex_feats.data.shape[0]
     return L.LatentGraph(
         vertex_feats=vertex_feats,
         mesh_edge_feats=mesh_edge_feats,
         world_edge_feats=world_edge_feats,
-        plan=L.MeshPlan(mesh_edges, n_garment, n_garment_edges, n),
+        plan=L.MeshPlan(mesh_edges, n_garment, n_garment_edges, np.zeros((n, 3))),
         world_plan=L.EdgeIncidence(world_edges, n),
     )
+
+
+def smooth(v, e, lg):
+    """One smoothing step with the edge rows gathered as `lsdmp_layer` does."""
+    return L.laplacian_smooth_step(v, e, lg, L.smoothing_edge_rows(e, lg))
+
+
+def relative_oracle(positions, a, b):
+    """[x_a - x_b, |x_a - x_b|], the norm summed left to right as numpy's
+    row norm sums a row of three."""
+    rel = positions[a] - positions[b]
+    return np.append(rel, np.sqrt(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2]))
 
 
 def path_graph(n, h, seed=0, n_garment=None):
@@ -85,29 +98,37 @@ class TestEncode:
         normals = rng.standard_normal((n, 3))
         mesh_edges = np.array([[0, 1], [1, 2], [5, 6]], dtype=np.intp)
         world = np.array([[0, 5], [2, 7]], dtype=np.intp)
-        vertex, mesh_f, world_f = L.assemble_input_features(
-            pos, vel, rest, normals, n_g, mesh_edges, world)
-        for i in range(n):
-            kind = [1.0, 0.0] if i < n_g else [0.0, 1.0]
-            expected = np.concatenate([kind, vel[i], normals[i]])
-            assert np.array_equal(vertex[i], expected)
-        for r, (a, b) in enumerate(mesh_edges):
-            rel = pos[a] - pos[b]
-            rel0 = rest[a] - rest[b]
-            expected = np.concatenate(
-                [rel, [np.linalg.norm(rel)], rel0, [np.linalg.norm(rel0)]])
-            assert np.allclose(mesh_f[r], expected, rtol=0, atol=1e-15)
-        for r, (a, b) in enumerate(world):
-            rel = pos[a] - pos[b]
-            assert np.allclose(world_f[r], np.concatenate([rel, [np.linalg.norm(rel)]]),
-                               rtol=0, atol=1e-15)
+        plan = L.MeshPlan(mesh_edges, n_g, 2, rest)
+        vertex, mesh_f, world_f = L.assemble_input_features(pos, vel, normals, plan, world)
+        expected = [np.concatenate([[1.0, 0.0] if i < n_g else [0.0, 1.0],
+                                    vel[i], normals[i]]) for i in range(n)]
+        assert vertex.tobytes() == np.array(expected).tobytes()
+        expected = [np.concatenate([relative_oracle(pos, a, b), relative_oracle(rest, a, b)])
+                    for a, b in mesh_edges]
+        assert mesh_f.tobytes() == np.array(expected).tobytes()
+        expected = [relative_oracle(pos, a, b) for a, b in world]
+        assert world_f.tobytes() == np.array(expected).tobytes()
+
+    def test_plan_holds_the_static_inputs(self):
+        rng = np.random.default_rng(3)
+        rest = rng.standard_normal((6, 3))
+        mesh_edges = np.array([[0, 1], [1, 2], [3, 4]], dtype=np.intp)
+        plan = L.MeshPlan(mesh_edges, 4, 2, rest)
+        assert plan.n_total == 6
+        assert plan.kinds.tobytes() == np.array(
+            [[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 2).tobytes()
+        assert plan.rest_edge_feats.tobytes() == np.array(
+            [relative_oracle(rest, a, b) for a, b in mesh_edges]).tobytes()
+        assert np.array_equal(plan.garment_rows.ids, np.arange(4))
+        assert plan.garment_rows.n == 6 and plan.garment_rows.rows is None
 
     def test_coincident_world_edge_gives_zero_relative(self):
         pos = np.zeros((4, 3))
-        _, _, world_f = L.assemble_input_features(
-            pos, np.zeros((4, 3)), pos, np.zeros((4, 3)), 2,
-            np.zeros((0, 2), dtype=np.intp), np.array([[0, 2]], dtype=np.intp))
+        plan = L.MeshPlan(np.zeros((0, 2), dtype=np.intp), 2, 0, pos)
+        _, mesh_f, world_f = L.assemble_input_features(
+            pos, np.zeros((4, 3)), np.zeros((4, 3)), plan, np.array([[0, 2]], dtype=np.intp))
         assert np.array_equal(world_f, np.zeros((1, 4)))
+        assert mesh_f.shape == (0, 8)
 
     def test_translation_invariance_of_edge_features(self):
         rng = np.random.default_rng(1)
@@ -115,9 +136,10 @@ class TestEncode:
         rest = rng.standard_normal((6, 3))
         edges = np.array([[0, 1], [2, 3]], dtype=np.intp)
         world = np.array([[0, 4]], dtype=np.intp)
-        _, m1, w1 = L.assemble_input_features(pos, pos * 0, rest, pos * 0, 4, edges, world)
-        _, m2, w2 = L.assemble_input_features(pos + [3.0, -1.0, 2.0], pos * 0, rest,
-                                              pos * 0, 4, edges, world)
+        plan = L.MeshPlan(edges, 4, 2, rest)
+        _, m1, w1 = L.assemble_input_features(pos, pos * 0, pos * 0, plan, world)
+        _, m2, w2 = L.assemble_input_features(pos + [3.0, -1.0, 2.0], pos * 0, pos * 0,
+                                              plan, world)
         assert np.allclose(m1, m2, atol=1e-12)
         assert np.allclose(w1, w2, atol=1e-12)
 
@@ -132,10 +154,9 @@ class TestEncode:
         normals = rng.standard_normal((7, 3))
         mesh_edges = np.array([[0, 1], [4, 5]], dtype=np.intp)
         world = np.array([[1, 4]], dtype=np.intp)
-        lg = L.encode(params, pos, vel, rest, normals,
-                      L.MeshPlan(mesh_edges, n_g, 1, 7), world)
-        vertex, mesh_f, world_f = L.assemble_input_features(
-            pos, vel, rest, normals, n_g, mesh_edges, world)
+        plan = L.MeshPlan(mesh_edges, n_g, 1, rest)
+        lg = L.encode(params, pos, vel, normals, plan, world)
+        vertex, mesh_f, world_f = L.assemble_input_features(pos, vel, normals, plan, world)
         ref = T.mlp_apply(params, "encoder.vertex", T.Tensor(vertex))
         assert np.allclose(lg.vertex_feats.data, ref.data, atol=1e-12)
         refm = T.mlp_apply(params, "encoder.mesh_edge", T.Tensor(mesh_f))
@@ -224,14 +245,14 @@ class TestSmoothing:
         c = np.ones((5, h)) * 2.5
         v = T.Tensor(c)
         e = T.Tensor(np.zeros((4, h)))
-        out = L.laplacian_smooth_step(v, e, lg)
+        out = smooth(v, e, lg)
         assert np.allclose(out.data, c, atol=1e-15)
 
     def test_path_three_vertices(self):
         h = 2
         lg = path_graph(3, h, seed=9)
         feats = np.array([[1.0, 0.0], [5.0, 5.0], [3.0, 2.0]])
-        out = L.laplacian_smooth_step(T.Tensor(feats), T.Tensor(np.zeros((2, h))), lg)
+        out = smooth(T.Tensor(feats), T.Tensor(np.zeros((2, h))), lg)
         assert np.allclose(out.data[1], (feats[0] + feats[2]) / 2)
 
     def test_matches_adjacency_loop_oracle(self):
@@ -239,7 +260,7 @@ class TestSmoothing:
         lg = random_graph(8, h, seed=10, n_garment=6)
         v = lg.vertex_feats
         e = lg.mesh_edge_feats
-        out = L.laplacian_smooth_step(v, e, lg)
+        out = smooth(v, e, lg)
         ge = lg.plan.mesh_edges[:lg.plan.n_garment_edges]
         for i in range(lg.plan.n_total):
             acc = np.zeros(h)
@@ -260,7 +281,7 @@ class TestSmoothing:
     def test_body_vertices_pass_through(self):
         h = 4
         lg = random_graph(8, h, seed=11, n_garment=5)
-        out = L.laplacian_smooth_step(lg.vertex_feats, lg.mesh_edge_feats, lg)
+        out = smooth(lg.vertex_feats, lg.mesh_edge_feats, lg)
         assert np.array_equal(out.data[5:], lg.vertex_feats.data[5:])
 
     def test_linearity(self):
@@ -272,7 +293,7 @@ class TestSmoothing:
         v2, e2 = rng.standard_normal((9, h)), rng.standard_normal((m, h))
 
         def f(v, e):
-            return L.laplacian_smooth_step(T.Tensor(v), T.Tensor(e), lg).data
+            return smooth(T.Tensor(v), T.Tensor(e), lg).data
 
         assert np.allclose(f(2.5 * v1, 2.5 * e1), 2.5 * f(v1, e1), atol=1e-12)
         assert np.allclose(f(v1 + v2, e1 + e2), f(v1, e1) + f(v2, e2), atol=1e-12)
@@ -305,8 +326,7 @@ class TestLayer:
         out = L.lsdmp_layer(lg, params, "lsdmp.layer0", smoothing_steps=2)
         mesh_e, world_e = L.mp_edge_update(lg, params, "lsdmp.layer0")
         v_a = L.mp_vertex_update(lg, mesh_e, world_e, params, "lsdmp.layer0")
-        v_p = L.laplacian_smooth_step(
-            L.laplacian_smooth_step(v_a, mesh_e, lg), mesh_e, lg)
+        v_p = smooth(smooth(v_a, mesh_e, lg), mesh_e, lg)
         ref = T.add(T.mlp_apply(params, "lsdmp.layer0.f_v_prime", v_p), v_a)
         assert np.allclose(out.vertex_feats.data, ref.data, atol=1e-12)
 
@@ -446,18 +466,20 @@ class TestFusedSmoothing:
             T.backward(T.tsum(T.mul(out, T.Tensor(w))))
             return out.data, v.grad, e.grad
 
-        fused = run(L.laplacian_smooth_step)
+        fused = run(smooth)
         unfused_gather_backward(monkeypatch)
         reference = run(unfused_smooth_step)
         for a, b in zip(fused, reference):
             assert a.tobytes() == b.tobytes()
 
     def test_hoisted_edge_rows_give_the_same_bytes(self):
+        # one gather of the edge rows serves every step of a layer
         lg = random_graph(9, 4, seed=32, n_garment=7)
         v, e = lg.vertex_feats, lg.mesh_edge_feats
         rows = L.smoothing_edge_rows(e, lg)
-        assert L.laplacian_smooth_step(v, e, lg, rows).data.tobytes() == \
-            L.laplacian_smooth_step(v, e, lg).data.tobytes()
+        hoisted = L.laplacian_smooth_step(L.laplacian_smooth_step(v, e, lg, rows), e, lg, rows)
+        assert hoisted.data.tobytes() == \
+            unfused_smooth_step(unfused_smooth_step(v, e, lg), e, lg).data.tobytes()
 
     def test_gradient_matches_fd(self):
         lg = random_graph(8, 3, seed=33, n_garment=6)
@@ -468,8 +490,8 @@ class TestFusedSmoothing:
         w = T.Tensor(rng.standard_normal((8, 3)))
 
         def f():
-            out = L.laplacian_smooth_step(params["v"], params["e"], lg)
-            out = L.laplacian_smooth_step(out, params["e"], lg)
+            out = smooth(params["v"], params["e"], lg)
+            out = smooth(out, params["e"], lg)
             return T.tsum(T.mul(T.mul(out, out), w))
 
         assert max(T.grad_check(f, params).values()) <= 1e-6
@@ -477,7 +499,7 @@ class TestFusedSmoothing:
     def test_one_tape_node_per_step(self):
         lg = random_graph(8, 3, seed=35, n_garment=6)
         v = T.Tensor(lg.vertex_feats.data, requires_grad=True)
-        out = L.laplacian_smooth_step(v, lg.mesh_edge_feats, lg)
+        out = smooth(v, lg.mesh_edge_feats, lg)
         assert out._prev == (v, lg.mesh_edge_feats, v)
 
     def test_layers_reuse_the_graph_plan(self):

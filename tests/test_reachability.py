@@ -14,23 +14,40 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 TEST_SUPPORT = {
     "grad_check": "the finite-difference gradient checker of the tape tests",
     "save_obj": "writes the garment OBJ files the tests build",
-    "smoothed": "the Laplacian-smoothing reference of the LSDMP tests",
+    "smoothed": "the trailing moving average of acceptance criterion 5 and "
+                "tests/test_trainer.py",
 }
 
 
-def referenced_names(node: ast.AST) -> set[str]:
+def local_names(fn: ast.AST) -> set[str]:
+    """The arguments of function `fn` and the names assigned in its body
+    (nested functions included)."""
+    a = fn.args
+    names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+    names |= {arg.arg for arg in (a.vararg, a.kwarg) if arg is not None}
+    names |= {n.id for n in ast.walk(fn)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names
+
+
+def referenced_names(node: ast.AST, bound: frozenset = frozenset()) -> set[str]:
     """Names, attributes, imported names and string constants under `node`
-    (the benchmark's tracer wraps functions by name)."""
+    (the benchmark's tracer wraps functions by name). A name bound inside
+    the enclosing function (`bound`) is a local variable, not a reference."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | local_names(node)
     names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            names.add(sub.name.rsplit(".", 1)[-1])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            names.add(sub.value)
+    if isinstance(node, ast.Name):
+        if node.id not in bound:
+            names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif isinstance(node, ast.alias):
+        names.add(node.name.rsplit(".", 1)[-1])
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names.add(node.value)
+    for child in ast.iter_child_nodes(node):
+        names |= referenced_names(child, bound)
     return names
 
 

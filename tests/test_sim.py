@@ -222,7 +222,7 @@ class TestStep:
         normals = np.concatenate(
             [M.vertex_normals(state.x_g, scene.garment.mesh.triangles),
              M.vertex_normals(state.x_b, scene.body.template.triangles)])
-        lg = L.encode(params, pos, vel, scene.rest_positions, normals, scene.plan, wc)
+        lg = L.encode(params, pos, vel, normals, scene.plan, wc)
         v_s = L.lsdmp_forward(lg, params, cfg.model.lsdmp_layers,
                               cfg.model.smoothing_steps).vertex_feats
         v_l = G.gsa_forward(T.gather_rows(lg.vertex_feats, np.arange(n_g)),
@@ -243,6 +243,33 @@ class TestStep:
         a = S.step(state, params, scene)
         b = S.step(state, params, scene)
         assert a.x_next.data.tobytes() == b.x_next.data.tobytes()
+
+    def test_scene_plan_holds_the_combined_rest_features(self):
+        scene, _ = small_scene()
+        rest = np.concatenate([scene.garment.mesh.vertices, scene.body.template.vertices])
+        edges = scene.plan.mesh_edges
+        rel = rest[edges[:, 0]] - rest[edges[:, 1]]
+        expected = np.concatenate([rel, np.linalg.norm(rel, axis=1, keepdims=True)], axis=1)
+        assert scene.plan.n_total == len(rest)
+        assert scene.plan.rest_edge_feats.tobytes() == expected.tobytes()
+
+    def test_no_grad_step_builds_only_the_world_edge_incidences(self, monkeypatch):
+        # the garment-row gathers reuse the scene plan's incidence; only the
+        # step's world edges get a fresh EdgeIncidence, three Incidences
+        scene, cfg = small_scene(grid=6)
+        params = S.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=0)
+        state = S.initial_state(scene.garment, scene.body, cfg)
+        built = []
+        init = T.Incidence.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(T.Incidence, "__init__", counting_init)
+        with T.no_grad():
+            S.step(state, params, scene)
+        assert len(built) == 3
 
     def test_accel_only_for_garment_vertices(self):
         scene, cfg = small_scene()
