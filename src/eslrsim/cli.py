@@ -28,6 +28,11 @@ from .config import (RunConfig, SceneSpec, _build, config_from_dict, config_to_d
 from .errors import ValidationError
 from .mesh import build_topology, compute_rest_quantities, grid_cloth, load_obj
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 EVAL_COLUMNS = ("stretch", "bending", "inertia", "collision", "friction", "gravity")
 
 
@@ -75,6 +80,10 @@ def cmd_preprocess(args) -> int:
           f"({emb.start_method}), "
           f"SMACOF {emb.smacof_s:.3f} s ({emb.iterations_run} iterations, "
           f"{1e3 * emb.smacof_s / emb.iterations_run:.3f} ms each)")
+    if resource is not None:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+        print(f"peak memory {peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MB "
+              f"(ru_maxrss)")
     return 0
 
 

@@ -16,26 +16,31 @@ Cost model, for n vertices, E edges and embedding width k:
   once, so the work is about n * 2E relaxations, with no per-vertex Python.
   The lower triangle is the mirror of the upper one.
 - SMACOF makes one pairwise-distance pass per iteration, plus one for the
-  start; the candidate's distances are reused for the next iteration's update,
-  and the Guttman transform writes into one n x n buffer kept for the run.
+  start; the candidate's distances are reused for the next iteration's update.
+  The distances, the Guttman transform B formed from them and the next
+  distances share one n x n buffer kept for the run: B overwrites the
+  distances a block of rows at a time, and the stress is summed block by
+  block in numpy's own pairwise order (`_raw_stress`), with no n x n
+  residual.
 - A pairwise-distance block holds about 2**17 squared differences (1 MiB),
   one (rows, n) slice per coordinate, so each pass is a few vectorised ops
-  over a block that stays in cache, and peak memory is a few n x n float64
-  arrays. The slices are added in numpy's own summation order (see
-  `_pairwise_distances`), so every `.geo1` byte is that of the one-shot
-  expression, which spent more time in a `sum` call per pair than in adds.
+  over a block that stays in cache. The slices are added in numpy's own
+  summation order (see `_pairwise_distances`), so every `.geo1` byte is that
+  of the one-shot expression, which spent more time in a `sum` call per pair
+  than in adds.
 - The classical-scaling start is O(n^2) above 512 vertices: the Gram is
   centred in place, and a block subspace iteration of k + 16 columns makes
   one (n, n) x (n, k + 16) product per iteration (21-23 iterations on grids
   at k = 8). Up to 512 vertices it stays two dense n^3 products and a full
   `eigh`, whose bytes the small embeddings keep (see `_classical_scaling`).
 
-On a 2,025-vertex grid with 4 SMACOF iterations and one BLAS thread (2-core
-x86-64 VM), the sweep takes about 0.8 s, the subspace start about 0.3 s and
-each SMACOF iteration about 0.15 s. At 100 vertices an iteration takes
-0.32 ms. A fresh process running `preprocess` on the 2,025-vertex grid peaks
-at 167 MB (`ru_maxrss`). At 8,100 vertices the subspace start takes 4.4 s,
-and the process peaks at 2.05 GB.
+Both the start and SMACOF peak at `d` plus one n x n float64 array and a few
+MiB of blocks. On a 2,025-vertex grid with 4 SMACOF iterations and one BLAS
+thread (2-core x86-64 VM), the sweep takes about 0.8 s, the subspace start
+about 0.3 s and each SMACOF iteration about 0.11 s. At 100 vertices an
+iteration takes 0.2-0.3 ms. A fresh process running `preprocess` on the
+2,025-vertex grid peaks at 106 MB (`ru_maxrss`). At 8,100 vertices the
+subspace start takes 3.6-4.4 s, and the process peaks at 1.05 GB.
 """
 
 from __future__ import annotations
@@ -135,13 +140,14 @@ def geodesic_distances(topo: Topology, rest: RestState) -> np.ndarray:
     return d
 
 
-_BLOCK_VALUES = 1 << 17  # squared differences per pairwise-distance block (1 MiB)
+_BLOCK_VALUES = 1 << 17  # float64 values per block of distances, B rows or stress (1 MiB)
 _SOURCE_BLOCK = 64  # source rows per shortest-path sweep
 
 
-def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of `coords`, bit for bit those of
-    the one-shot `np.sqrt(((c[:, None] - c[None]) ** 2).sum(-1))`.
+def _pairwise_distances(coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances between the rows of `coords`, written into `out`
+    (a new (n, n) array if None), bit for bit those of the one-shot
+    `np.sqrt(((c[:, None] - c[None]) ** 2).sum(-1))`.
 
     A block of rows holds its (k, rows, n) squared differences, one slice per
     coordinate, so every pass is a vectorised op over the block, and the block
@@ -151,12 +157,13 @@ def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
     right (the k axis is outermost, as for the F-ordered `_classical_scaling`
     start)."""
     n, k = coords.shape
+    pd = np.empty((n, n), dtype=np.float64) if out is None else out
     if not (n and k):
-        return np.zeros((n, n))
+        pd.fill(0.0)
+        return pd
     add = _pairwise_sum if abs(coords.strides[1]) < abs(coords.strides[0]) else _sum_in_order
     rows = max(1, _BLOCK_VALUES // (k * n))
     ct = np.ascontiguousarray(coords.T)  # one row per coordinate
-    pd = np.empty((n, n), dtype=np.float64)
     sq = np.empty((k, min(rows, n), n), dtype=np.float64)
     for lo in range(0, n, rows):
         block = sq[:, :min(rows, n - lo)]
@@ -199,10 +206,30 @@ def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
 
 def _raw_stress(d: np.ndarray, pd: np.ndarray) -> float:
     """Raw stress of the pairwise distances `pd` against `d`: the i != j double
-    sum, each unordered pair counted twice."""
-    r = d - pd
-    np.multiply(r, r, out=r)
-    return float(r.sum())  # diagonal contributes zero
+    sum, each unordered pair counted twice (the diagonal contributes zero).
+
+    Bit for bit `float(((d - pd) ** 2).sum())` without its n x n residual:
+    numpy sums a C-contiguous array as one pairwise tree over its flat values,
+    and `_residual_tree_sum` walks that tree."""
+    flat_d, flat_pd = d.reshape(-1), pd.reshape(-1)
+    scratch = np.empty(min(flat_d.size, max(_BLOCK_VALUES, 128)))
+    return float(_residual_tree_sum(flat_d, flat_pd, scratch))
+
+
+def _residual_tree_sum(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.float64:
+    """`((a - b) ** 2).sum()` of 1-D `a` and `b`, in numpy's pairwise tree:
+    halves split at a multiple of 8 (see `_pairwise_sum`) down to nodes that
+    fit `scratch`, each squared there and summed by numpy itself. numpy
+    splits no node of 128 values or fewer, so `scratch` holds at least 128."""
+    m = len(a)
+    if m <= len(scratch):
+        r = scratch[:m]
+        np.subtract(a, b, out=r)
+        np.multiply(r, r, out=r)
+        return r.sum()
+    half = m // 2 - m // 2 % 8
+    return (_residual_tree_sum(a[:half], b[:half], scratch)
+            + _residual_tree_sum(a[half:], b[half:], scratch))
 
 
 # The subspace start overtakes the dense one near 300 vertices at k = 8 (one
@@ -274,14 +301,22 @@ def _subspace_scaling(d: np.ndarray, k: int) -> tuple[np.ndarray | None, str]:
 
 
 def _guttman_matrix(d: np.ndarray, pd: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """SMACOF's B written into `out`: -d/pd off the diagonal (-0.0 where
-    pd == 0, i.e. for coincident points), row sums negated on the diagonal."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(d, pd, out=out)
-    np.negative(out, out=out)
-    np.copyto(out, -0.0, where=pd <= 0.0)
-    np.fill_diagonal(out, 0.0)
-    np.fill_diagonal(out, -out.sum(axis=1))
+    """SMACOF's B written into `out`, which may be `pd` itself: -d/pd off the
+    diagonal (-0.0 where pd == 0, i.e. for coincident points), row sums
+    negated on the diagonal. A block of rows at a time, each block's
+    coincident mask taken before its `pd` is overwritten."""
+    n = d.shape[0]
+    rows = max(1, _BLOCK_VALUES // max(n, 1))
+    for lo in range(0, n, rows):
+        block = out[lo:lo + rows]
+        coincident = pd[lo:lo + rows] <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(d[lo:lo + rows], pd[lo:lo + rows], out=block)
+        np.negative(block, out=block)
+        np.copyto(block, -0.0, where=coincident)
+        diag = block[:, lo:lo + rows]  # its diagonal is the block's part of B's
+        np.fill_diagonal(diag, 0.0)
+        np.fill_diagonal(diag, -block.sum(axis=1))
     return out
 
 
@@ -305,6 +340,7 @@ def mds_embed(d: np.ndarray, k: int, max_iters: int = 500,
         raise ValidationError("max_iters must be >= 1")
     if tol <= 0:
         raise ValidationError("tol must be > 0")
+    d = np.ascontiguousarray(d, dtype=np.float64)  # the bytes follow the values only
     t0 = time.perf_counter()
     coords, method = _classical_scaling(d, k)
     if not np.all(np.isfinite(coords)) or (n > 1 and np.ptp(coords) < 1e-300):
@@ -312,13 +348,12 @@ def mds_embed(d: np.ndarray, k: int, max_iters: int = 500,
         coords = rng.uniform(0.0, max(float(d.max()), 1.0), size=(n, k))
         method = f"seeded random, after {method}"
     t1 = time.perf_counter()
-    pd = _pairwise_distances(coords)
+    pd = _pairwise_distances(coords)  # then B, then the candidate's distances
     s_prev = _raw_stress(d, pd)
     history = [s_prev]
-    b = np.empty_like(d)
     for run in range(1, max_iters + 1):
-        candidate = (_guttman_matrix(d, pd, out=b) @ coords) / n
-        pd = _pairwise_distances(candidate)  # reused by the next iteration
+        candidate = (_guttman_matrix(d, pd, out=pd) @ coords) / n
+        _pairwise_distances(candidate, out=pd)  # reused by the next iteration
         s_new = _raw_stress(d, pd)
         if not (s_new < s_prev):  # no progress (or numerical stall): keep the best
             break

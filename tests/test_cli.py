@@ -83,6 +83,16 @@ class TestPreprocess:
         assert start == float(f"{ref.stress_history[0]:.6e}")
         assert iters == ref.iterations_run
 
+    def test_prints_peak_memory_after_the_times(self, tmp_path, garment_obj, capsys):
+        rc = cli.main(["preprocess", "--garment", str(garment_obj), "--embed-dim", "2",
+                       "--out", str(tmp_path / "grid.geo1")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        times = next(i for i, line in enumerate(lines) if "; times: " in line)
+        peak = re.fullmatch(r"peak memory (\S+) MB \(ru_maxrss\)", lines[times + 1])
+        assert peak is not None, lines[times:]
+        assert float(peak.group(1)) > 0
+
     @pytest.mark.parametrize("budget", [3, 500])
     def test_prints_accepted_iteration_count(self, tmp_path, garment_obj, capsys,
                                              budget):

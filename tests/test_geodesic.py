@@ -3,6 +3,7 @@ import heapq
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,17 @@ class TestStress:
         s1 = stress(pts + np.array([5.0, -3.0]), d)
         assert abs(s0 - s1) <= 1e-12 * max(1.0, s0)
 
+    @pytest.mark.parametrize("block", [8, 64, 1000, G._BLOCK_VALUES])
+    def test_tree_walk_equals_one_shot_bitwise(self, monkeypatch, block):
+        # numpy sums the flat n x n residual as one pairwise tree; the walk's
+        # nodes fall inside and across rows, at lengths not multiples of 8
+        monkeypatch.setattr(G, "_BLOCK_VALUES", block)
+        for n in (0, 1, 2, 3, 11, 37, 130, 363):
+            rng = np.random.default_rng(n)
+            d = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+            pd = rng.random((n, n))
+            assert G._raw_stress(d, pd) == float(((d - pd) ** 2).sum()), n
+
 
 class TestMdsEmbed:
     def test_chain_embeds_isometrically_in_1d(self):
@@ -341,6 +353,47 @@ class TestMdsEmbed:
         np.fill_diagonal(ref, -ref.sum(axis=1))
         got = G._guttman_matrix(d, pd, out=np.full_like(d, np.nan))
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("block", [40, 120, G._BLOCK_VALUES])
+    def test_guttman_matrix_in_place_bitwise(self, monkeypatch, block):
+        # B written over pd itself a block of rows at a time (1 row, 3 rows
+        # with a partial last block, all 40): each block must read its pd,
+        # coincident rows 0 and 1 included, before overwriting it
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((40, 3))
+        c[1] = c[0]
+        pd = G._pairwise_distances(c)
+        d = np.abs(pd + rng.standard_normal(pd.shape) * 0.1)
+        d = (d + d.T) / 2
+        np.fill_diagonal(d, 0.0)
+        ref = G._guttman_matrix(d, pd, out=np.full_like(d, np.nan))  # pinned above
+        monkeypatch.setattr(G, "_BLOCK_VALUES", block)
+        got = G._guttman_matrix(d, pd, out=pd)
+        assert got is pd and got.tobytes() == ref.tobytes()
+
+    def test_memory_layout_of_distances_does_not_move_bytes(self):
+        m = M.grid_cloth(20, 20)
+        topo = M.build_topology(m)
+        d = G.geodesic_distances(topo, M.compute_rest_quantities(m, topo, 1.0))
+        c_order = G.mds_embed(d, k=4, max_iters=30)
+        f_order = G.mds_embed(np.asfortranarray(d), k=4, max_iters=30)
+        assert c_order.coords.tobytes() == f_order.coords.tobytes()
+
+    def test_peak_memory_is_one_array_above_the_distances(self):
+        # 1,024 vertices: the subspace start (d * d) and SMACOF (one buffer
+        # for pd, B and the next pd) each hold one n x n array beside d
+        m = M.grid_cloth(32, 32)
+        topo = M.build_topology(m)
+        d = G.geodesic_distances(topo, M.compute_rest_quantities(m, topo, 1.0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emb = G.mds_embed(d, k=8, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert emb.start_method.startswith("subspace") and emb.iterations_run == 5
+        assert peak <= d.nbytes + 3 * 2**20, peak / d.nbytes
 
     def test_k_too_large(self):
         d = np.zeros((3, 3))
