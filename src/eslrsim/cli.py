@@ -40,6 +40,14 @@ def _echo_config(cfg: RunConfig) -> None:
     print("effective config: " + json.dumps(config_to_dict(cfg), sort_keys=True))
 
 
+def _print_peak_memory() -> None:
+    """The process's peak resident memory, where the platform reports it."""
+    if resource is not None:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+        print(f"peak memory {peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MB "
+              f"(ru_maxrss)")
+
+
 def _check_flag(flag: str, minimum: int, *values: int, maximum: int | None = None) -> None:
     """The range check of a flag that sets no config key; a flag that sets one
     is checked as that key's value, by `load_config`."""
@@ -80,10 +88,7 @@ def cmd_preprocess(args) -> int:
           f"({emb.start_method}), "
           f"SMACOF {emb.smacof_s:.3f} s ({emb.iterations_run} iterations, "
           f"{1e3 * emb.smacof_s / emb.iterations_run:.3f} ms each)")
-    if resource is not None:
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
-        print(f"peak memory {peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MB "
-              f"(ru_maxrss)")
+    _print_peak_memory()
     return 0
 
 
@@ -145,6 +150,7 @@ def cmd_simulate(args) -> int:
     worst = max(r["max_penetration"] for r in records)
     print(f"wrote {args.frames} frames to {out_dir}; "
           f"worst penetration {worst:.4e} m")
+    _print_peak_memory()
     return 0
 
 

@@ -12,6 +12,10 @@ signal) but pass through smoothing unchanged.
 The encoder's static inputs, the vertex kinds and the mesh edges' rest
 features, are built once per scene with the rest of the `MeshPlan`; `encode`
 adds the step's positions, velocities and normals.
+
+Without a tape, each update's MLP input, `[e | v[first] | v[second]]` or
+`[v | mesh sum | world sum]`, is made one row block at a time; `tensor` has
+the block rule and why the 3-wide decoder runs as one block.
 """
 
 from __future__ import annotations
@@ -172,16 +176,13 @@ def init_lsdmp_params(params: ModelParams, n_layers: int, hidden_dim: int,
 def mp_edge_update(lg: LatentGraph, params: ModelParams,
                    name: str) -> tuple[Tensor, Tensor]:
     """Edge features from (edge, both endpoints), with a residual; mesh and
-    world edges use separate MLPs; the MLP input is one op."""
+    world edges use separate MLPs. The MLP input `[e | v[first] | v[second]]`
+    is one op with a tape and is made a row block at a time without one."""
     v = lg.vertex_feats
 
     def update(inc, feats, mlp_name):
-        h = feats.data.shape[1]
-        inp = T._node(
-            np.concatenate([feats.data, v.data[inc.first.ids], v.data[inc.second.ids]],
-                           axis=-1), (feats, v, v), "edge_input",
-            lambda g: (g[:, :h], inc.first.sum(g[:, h:2 * h]), inc.second.sum(g[:, 2 * h:])))
-        return T.add(T.mlp_apply(params, mlp_name, inp), feats)
+        return T.mlp_apply(params, mlp_name, [(feats, None), (v, inc.first), (v, inc.second)],
+                           residual=feats)
 
     return (update(lg.plan.edges, lg.mesh_edge_feats, f"{name}.f_e_mesh"),
             update(lg.world_plan, lg.world_edge_feats, f"{name}.f_e_world"))
@@ -197,11 +198,12 @@ def incident_sum(inc: EdgeIncidence, feats: Tensor) -> Tensor:
 def mp_vertex_update(lg: LatentGraph, mesh_e: Tensor, world_e: Tensor,
                      params: ModelParams, name: str) -> Tensor:
     """Vertex features from (vertex, mesh-edge sum, world-edge sum), with a
-    residual; vertices with no incident edges of a kind get a zero sum."""
-    inp = T.concat([lg.vertex_feats,
-                    incident_sum(lg.plan.edges, mesh_e),
-                    incident_sum(lg.world_plan, world_e)], axis=-1)
-    return T.add(T.mlp_apply(params, f"{name}.f_v", inp), lg.vertex_feats)
+    residual; vertices with no incident edges of a kind get a zero sum. The
+    sums are made whole; the MLP input is made like the edge update's."""
+    v = lg.vertex_feats
+    parts = [(v, None), (incident_sum(lg.plan.edges, mesh_e), None),
+             (incident_sum(lg.world_plan, world_e), None)]
+    return T.mlp_apply(params, f"{name}.f_v", parts, residual=v)
 
 
 def smoothing_edge_rows(mesh_e: Tensor, lg: LatentGraph) -> list[np.ndarray]:
@@ -261,7 +263,7 @@ def lsdmp_layer(lg: LatentGraph, params: ModelParams, name: str,
     edge_rows = smoothing_edge_rows(mesh_e, lg) if smoothing_steps else []
     for _ in range(smoothing_steps):
         v_p = laplacian_smooth_step(v_p, mesh_e, lg, edge_rows)
-    v_out = T.add(T.mlp_apply(params, f"{name}.f_v_prime", v_p), v_a)
+    v_out = T.mlp_apply(params, f"{name}.f_v_prime", v_p, residual=v_a)
     return replace(lg, vertex_feats=v_out, mesh_edge_feats=mesh_e,
                    world_edge_feats=world_e)
 

@@ -206,11 +206,6 @@ def load_obj(path) -> Mesh:
         return parse_obj(fh.read())
 
 
-def save_obj(path, mesh: Mesh) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(obj_text(mesh.vertices, mesh.triangles))
-
-
 # -- topology and rest state -----------------------------------------------
 
 def build_topology(mesh: Mesh) -> Topology:

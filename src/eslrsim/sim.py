@@ -61,7 +61,6 @@ class SimState:
 class StepOutput:
     accel: Tensor  # (n_G, 3); garment vertices only
     x_next: Tensor  # (n_G, 3)
-    q_next: Tensor
     next_state: SimState
 
 
@@ -324,8 +323,7 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     x_b, q_b, normals_b = body_motion_eval(scene.body, t1 * dt)
     next_state = SimState(t=t1, x_g=x_next.data.copy(), q_g=q_next.data.copy(),
                           x_b=x_b, q_b=q_b, normals_b=normals_b)
-    return StepOutput(accel=accel, x_next=x_next, q_next=q_next,
-                      next_state=next_state)
+    return StepOutput(accel=accel, x_next=x_next, next_state=next_state)
 
 
 def step_loss(state: SimState, out: StepOutput, scene: Scene,

@@ -18,6 +18,15 @@ activations are freed during the sweep; leaves keep their gradients, and a
 second `backward()` through a consumed tape raises. All math is float64 and
 every reduction runs in a fixed (ascending-index) order, so replaying the same
 computation is bit-identical.
+
+Without a tape, `mlp_apply` runs a hidden-width MLP over blocks of 512 rows
+(`row_blocks`) and makes each block's input when it needs it, so no whole
+concatenated input or hidden activation exists. OpenBLAS 0.3.31 gave row
+blocks of `x @ W` with 64 output columns the whole product's bits at every
+size probed, but not 1-row blocks, 3-column products (so the decoder runs as
+one block) or `(n, 36) @ (36, 12)` from n = 2,432: an untaped step keeps the
+taped step's bytes at the sizes and widths the tests check, and at other
+widths can differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ CHECKPOINT_MAGIC = b"ESLR-CKPT1\n"
 
 # Toggled by no_grad(); when False, ops do not record parents or closures.
 _GRAD_ENABLED = True
+_ROW_BLOCK = 512  # rows per block of an untaped MLP, see the module docstring
 
 
 class no_grad:
@@ -571,25 +581,66 @@ def mlp_init(params: ModelParams, name: str, in_dim: int, hidden: int, out_dim: 
         params.add(f"{name}.ln_bias", np.zeros(out_dim))
 
 
-def mlp_apply(params: ModelParams, name: str, x) -> Tensor:
-    """Apply the MLP stored under `name` (linear, relu, linear, relu, linear,
-    LayerNorm iff it was initialized with one) as one tape op. It keeps `x`,
-    both ReLU outputs (`a > 0` equals `relu(a) > 0`), `xhat` and `inv`."""
-    x = as_tensor(x)
-    p = [params[f"{name}.{k}"] for k in ("w0", "b0", "w1", "b1", "w2", "b2", "ln_gain",
-                                          "ln_bias") if f"{name}.{k}" in params]
-    if x.data.ndim != 2 or x.data.shape[1] != p[0].data.shape[0]:
-        raise _shape_err(f"mlp_apply[{name}]", x.data.shape, p[0].data.shape)
-    ins = [x.data]  # the input of each linear layer; none kept without a tape
+def row_blocks(n: int) -> list[slice]:
+    """`n` rows in blocks of `_ROW_BLOCK`, a shorter tail joined to the last:
+    each block has 512-1,023 rows, or all rows when n < 1,024."""
+    k = max(n // _ROW_BLOCK, 1 if n else 0)
+    return [slice(i * _ROW_BLOCK, n if i == k - 1 else (i + 1) * _ROW_BLOCK)
+            for i in range(k)]
+
+
+def _mlp_forward(p: list[Tensor], x: np.ndarray, keep: bool):
+    """The MLP's arithmetic on the rows of `x`: `(y, ins, xhat, inv)`, with
+    `ins` the input of each linear layer if `keep`, else empty, and `xhat`
+    and `inv` those of the LayerNorm, if there is one."""
+    ins = [x]
     for i in range(3):
         y = ins[-1] @ p[2 * i].data
         y += p[2 * i + 1].data
-        ins = ins if _GRAD_ENABLED else []
+        ins = ins if keep else []
         if i < 2:
             ins.append(np.maximum(y, 0.0, out=y))
+    xhat = inv = None
     if len(p) > 6:
         xhat, inv = _normalize(y, 1e-5)
         y = xhat * p[6].data + p[7].data
+    return y, ins, xhat, inv
+
+
+def mlp_apply(params: ModelParams, name: str, x, residual=None) -> Tensor:
+    """Apply the MLP stored under `name` (linear, relu, linear, relu, linear,
+    LayerNorm iff it was initialized with one) as one tape op, then add
+    `residual` if given. It keeps `x`, both ReLU outputs (`a > 0` equals
+    `relu(a) > 0`), `xhat` and `inv`. `x` is a tensor, or a list of `(tensor,
+    rows)` parts whose columns make the input: all rows (`rows` None) or the
+    rows an Incidence gathers, whose sum is the backward scatter. With a tape
+    that input is one op; without one, see the module docstring."""
+    parts = x if isinstance(x, list) else [(as_tensor(x), None)]
+    p = [params[f"{name}.{k}"] for k in ("w0", "b0", "w1", "b1", "w2", "b2", "ln_gain",
+                                          "ln_bias") if f"{name}.{k}" in params]
+    widths = [t.data.shape[-1] if t.data.ndim == 2 else -1 for t, _ in parts]
+    if -1 in widths or sum(widths) != p[0].data.shape[0]:
+        raise _shape_err(f"mlp_apply[{name}]", *(t.data.shape for t, _ in parts),
+                         p[0].data.shape)
+
+    def build(rows):
+        cols = [t.data[rows] if inc is None else t.data[inc.ids[rows]] for t, inc in parts]
+        return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+
+    (t0, inc0), parents = parts[0], [t for t, _ in parts]
+    if not _GRAD_ENABLED:
+        n, w = (t0.data.shape[0] if inc0 is None else len(inc0.ids)), p[4].data
+        out = np.empty((n, w.shape[1]))
+        for rows in row_blocks(n) if w.shape[0] == w.shape[1] else [slice(0, n)]:
+            out[rows] = _mlp_forward(p, build(rows), keep=False)[0]
+            if residual is not None:
+                out[rows] += residual.data[rows]
+        return _node(out, parents, "mlp", None)
+    x = t0 if len(parts) == 1 and inc0 is None else _node(
+        build(slice(None)), parents, "mlp_input",
+        lambda g: [gi if inc is None else inc.sum(gi) for gi, (_, inc)
+                   in zip(np.split(g, np.cumsum(widths)[:-1], axis=-1), parts)])
+    y, ins, xhat, inv = _mlp_forward(p, x.data, keep=True)
 
     def vjp(g):
         grads = []
@@ -602,51 +653,5 @@ def mlp_apply(params: ModelParams, name: str, x) -> Tensor:
                 g = (g @ p[2 * i].data.T) * (ins[i] > 0.0)
         return [g @ p[0].data.T if x.requires_grad else None] + grads
 
-    return _node(y, (x, *p), "mlp", vjp)
-
-
-# -- gradient checking -----------------------------------------------------
-
-def grad_check(f: Callable[[], Tensor], params: ModelParams, h: float = 1e-5,
-               sample_fraction: float = 1.0, seed: int = 0,
-               names: list[str] | None = None,
-               scale_floor: float | None = None) -> dict[str, float]:
-    """Compare autodiff gradients of scalar f() against central finite differences.
-
-    Returns, per parameter, max_j |fd_j - ad_j| normalized by the parameter's
-    gradient magnitude (L-inf over the sampled entries). The scale is floored
-    at 1e-6 * max(1, |f|) by default so parameters whose entire gradient sits
-    below the finite-difference roundoff floor are not judged against their own
-    noise; a genuinely wrong backward rule still stands out by orders of
-    magnitude. Callers are responsible for avoiding non-smooth points (relu at
-    0 etc.).
-    """
-    params.zero_grad()
-    loss = f()
-    backward(loss)
-    if scale_floor is None:
-        scale_floor = 1e-6 * max(1.0, abs(float(loss.data)))
-    auto = params.grads()
-    rng = np.random.default_rng(seed)
-    report: dict[str, float] = {}
-    for name, t in params.items():
-        if names is not None and name not in names:
-            continue
-        n = t.data.size
-        k = max(1, int(round(n * sample_fraction)))
-        idx = np.arange(n) if k >= n else rng.choice(n, size=k, replace=False)
-        ag = auto[name].reshape(-1)
-        fds = np.empty(len(idx))
-        for pos, j in enumerate(idx):
-            orig = t.data.flat[j]
-            with no_grad():
-                t.data.flat[j] = orig + h
-                fp = float(f().data)
-                t.data.flat[j] = orig - h
-                fm = float(f().data)
-            t.data.flat[j] = orig
-            fds[pos] = (fp - fm) / (2.0 * h)
-        sampled_ag = ag[idx]
-        scale = max(np.abs(fds).max(), np.abs(sampled_ag).max(), scale_floor)
-        report[name] = float(np.abs(fds - sampled_ag).max() / scale)
-    return report
+    y = _node(y, (x, *p), "mlp", vjp)
+    return y if residual is None else add(y, residual)

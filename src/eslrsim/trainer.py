@@ -140,13 +140,3 @@ def train(cfg: RunConfig, out_dir, scenes: list[sim.Scene] | None = None,
                 print(f"iter {it:6d}  total {breakdown['total']:+.6e}")
     T.save_checkpoint(ckpt_path, params, cfg_dict, tcfg.iterations, tcfg.seed)
     return TrainResult(checkpoint_path=ckpt_path, log_path=log_path, totals=totals)
-
-
-def smoothed(values: np.ndarray, window: int) -> np.ndarray:
-    """Trailing moving average; entry i averages the last `window` values."""
-    out = np.empty(len(values))
-    c = np.cumsum(np.insert(values, 0, 0.0))
-    for i in range(len(values)):
-        lo = max(0, i + 1 - window)
-        out[i] = (c[i + 1] - c[lo]) / (i + 1 - lo)
-    return out

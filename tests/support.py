@@ -1,0 +1,70 @@
+"""Helpers that only the tests use: a finite-difference gradient checker, an
+OBJ writer for the garments the tests build, and the moving average of the
+training-loss checks."""
+
+from typing import Callable
+
+import numpy as np
+
+from eslrsim import tensor as T
+from eslrsim.mesh import Mesh, obj_text
+
+
+def grad_check(f: Callable[[], T.Tensor], params: T.ModelParams, h: float = 1e-5,
+               sample_fraction: float = 1.0, seed: int = 0,
+               names: list[str] | None = None,
+               scale_floor: float | None = None) -> dict[str, float]:
+    """Compare autodiff gradients of scalar f() against central finite differences.
+
+    Returns, per parameter, max_j |fd_j - ad_j| normalized by the parameter's
+    gradient magnitude (L-inf over the sampled entries). The scale is floored
+    at 1e-6 * max(1, |f|) by default so parameters whose entire gradient sits
+    below the finite-difference roundoff floor are not judged against their own
+    noise; a genuinely wrong backward rule still stands out by orders of
+    magnitude. Callers are responsible for avoiding non-smooth points (relu at
+    0 etc.).
+    """
+    params.zero_grad()
+    loss = f()
+    T.backward(loss)
+    if scale_floor is None:
+        scale_floor = 1e-6 * max(1.0, abs(float(loss.data)))
+    auto = params.grads()
+    rng = np.random.default_rng(seed)
+    report: dict[str, float] = {}
+    for name, t in params.items():
+        if names is not None and name not in names:
+            continue
+        n = t.data.size
+        k = max(1, int(round(n * sample_fraction)))
+        idx = np.arange(n) if k >= n else rng.choice(n, size=k, replace=False)
+        ag = auto[name].reshape(-1)
+        fds = np.empty(len(idx))
+        for pos, j in enumerate(idx):
+            orig = t.data.flat[j]
+            with T.no_grad():
+                t.data.flat[j] = orig + h
+                fp = float(f().data)
+                t.data.flat[j] = orig - h
+                fm = float(f().data)
+            t.data.flat[j] = orig
+            fds[pos] = (fp - fm) / (2.0 * h)
+        sampled_ag = ag[idx]
+        scale = max(np.abs(fds).max(), np.abs(sampled_ag).max(), scale_floor)
+        report[name] = float(np.abs(fds - sampled_ag).max() / scale)
+    return report
+
+
+def save_obj(path, mesh: Mesh) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(obj_text(mesh.vertices, mesh.triangles))
+
+
+def smoothed(values: np.ndarray, window: int) -> np.ndarray:
+    """Trailing moving average; entry i averages the last `window` values."""
+    out = np.empty(len(values))
+    c = np.cumsum(np.insert(values, 0, 0.0))
+    for i in range(len(values)):
+        lo = max(0, i + 1 - window)
+        out[i] = (c[i + 1] - c[lo]) / (i + 1 - lo)
+    return out

@@ -21,6 +21,7 @@ from eslrsim import sim as S
 from eslrsim import tensor as T
 from eslrsim import trainer as TR
 from eslrsim.config import config_from_dict
+from support import grad_check, save_obj, smoothed
 
 try:
     from threadpoolctl import threadpool_limits
@@ -138,7 +139,7 @@ def randomized_cloth_scene(seed):
 def fd_vs_autodiff(f, array, h):
     params = T.ModelParams()
     p = params.add("x", array)
-    return T.grad_check(lambda: f(p), params, h=h)["x"]
+    return grad_check(lambda: f(p), params, h=h)["x"]
 
 
 def test_criterion_4_gradient_suite():
@@ -197,8 +198,8 @@ def test_criterion_4_gradient_suite():
         out = S.step(state, params, scene)
         return S.step_loss(state, out, scene)[0]
 
-    param_report = T.grad_check(full_loss, params, h=1e-5,
-                                sample_fraction=0.05, seed=7)
+    param_report = grad_check(full_loss, params, h=1e-5,
+                              sample_fraction=0.05, seed=7)
     worst = max(param_report.values())
     assert worst <= 1e-4, sorted(param_report.items(), key=lambda kv: -kv[1])[:4]
     elapsed = time.perf_counter() - start
@@ -261,7 +262,7 @@ def desk_benchmark(tmp_path_factory):
 
 def test_criterion_5_desk_training_benchmark(desk_benchmark):
     full = desk_benchmark["full"]
-    sm = TR.smoothed(full["totals"], window=100)
+    sm = smoothed(full["totals"], window=100)
     s100, s2000 = sm[99], sm[1999]
     assert s2000 <= 0.5 * s100, f"smoothed loss {s100:.4f} -> {s2000:.4f}"
     pens = np.array([r["max_penetration"] for r in full["rollout"]])
@@ -302,7 +303,7 @@ def test_criterion_7_scaling():
 
 def test_criterion_8_determinism(tmp_path):
     garment = tmp_path / "g.obj"
-    M.save_obj(garment, M.grid_cloth(6, 6, DESK_CLOTH_SIZE, DESK_CLOTH_SIZE))
+    save_obj(garment, M.grid_cloth(6, 6, DESK_CLOTH_SIZE, DESK_CLOTH_SIZE))
     # preprocess twice -> identical embedding bytes
     embeds = []
     for name in ("e1.geo1", "e2.geo1"):

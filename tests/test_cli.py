@@ -12,12 +12,13 @@ from eslrsim import geodesic as geo
 from eslrsim import mesh as M
 from eslrsim.config import config_from_dict, save_config
 from eslrsim.errors import ValidationError
+from support import save_obj
 
 
 @pytest.fixture
 def garment_obj(tmp_path):
     path = tmp_path / "grid.obj"
-    M.save_obj(path, M.grid_cloth(5, 5))
+    save_obj(path, M.grid_cloth(5, 5))
     return path
 
 
@@ -131,7 +132,7 @@ class TestPreprocess:
         m = M.grid_cloth(4, 4)
         m.vertices[vertex, axis] = big
         path = tmp_path / "huge.obj"
-        M.save_obj(path, m)
+        save_obj(path, m)
         rc = cli.main(["preprocess", "--garment", str(path), "--embed-dim", "1"])
         err = capsys.readouterr().err
         assert rc == code, err
@@ -143,7 +144,7 @@ class TestPreprocess:
         # must be the solver's converged stress (chain-graph embeddability to
         # <= 1e-6 is covered by the acceptance suite on the chain graph itself)
         path = tmp_path / "strip.obj"
-        M.save_obj(path, M.grid_cloth(30, 2, 29.0, 1.0))
+        save_obj(path, M.grid_cloth(30, 2, 29.0, 1.0))
         rc = cli.main(["preprocess", "--garment", str(path), "--embed-dim", "1"])
         assert rc == 0
         stress = float(re.search(r"final stress ([\d.eE+-]+)",
@@ -378,6 +379,18 @@ class TestSimulateCli:
         assert (out / "metrics.jsonl").exists()
         assert (out / "config.json").exists()
 
+    def test_prints_peak_memory_after_the_result(self, tmp_path, garment_obj, trained,
+                                                 capsys):
+        capsys.readouterr()
+        assert cli.main(["simulate", "--ckpt", str(trained), "--garment",
+                         str(garment_obj), "--body", "static_sphere", "--frames", "1",
+                         "--out", str(tmp_path / "frames")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("wrote 1 frames to ")
+        peak = re.fullmatch(r"peak memory (\S+) MB \(ru_maxrss\)", lines[-1])
+        assert peak is not None, lines[-2:]
+        assert float(peak.group(1)) > 0
+
     def test_dt_zero_exits_2(self, tmp_path, garment_obj, trained, capsys):
         capsys.readouterr()
         rc = cli.main(["simulate", "--ckpt", str(trained), "--garment",
@@ -391,7 +404,7 @@ class TestSimulateCli:
 
     def test_embedding_dimension_mismatch_exits_2(self, tmp_path, trained, capsys):
         other = tmp_path / "other.obj"
-        M.save_obj(other, M.grid_cloth(4, 4))
+        save_obj(other, M.grid_cloth(4, 4))
         assert cli.main(["preprocess", "--garment", str(other),
                          "--embed-dim", "2"]) == 0
         rc = cli.main(["simulate", "--ckpt", str(trained), "--garment",
@@ -762,7 +775,7 @@ def mutated_config(draw):
 @pytest.fixture(scope="module")
 def config_fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("config-fuzz")
-    M.save_obj(path / "grid.obj", M.grid_cloth(3, 3))
+    save_obj(path / "grid.obj", M.grid_cloth(3, 3))
     return path
 
 

@@ -15,6 +15,7 @@ from eslrsim import mesh as M
 from eslrsim import tensor as T
 from eslrsim.config import config_from_dict, save_config
 from eslrsim.errors import ValidationError
+from support import save_obj
 
 MAGIC = b"TEST-CONTAINER\n"
 
@@ -102,7 +103,7 @@ def files(tmp_path_factory):
     """A valid tiny checkpoint and embedding: 4x4 grid, h=4, one layer."""
     root = tmp_path_factory.mktemp("fuzz")
     garment = root / "grid.obj"
-    M.save_obj(garment, M.grid_cloth(4, 4))
+    save_obj(garment, M.grid_cloth(4, 4))
     cfg_path = root / "config.json"
     save_config(cfg_path, config_from_dict({
         "model": {"hidden_dim": 4, "lsdmp_layers": 1, "smoothing_steps": 1,

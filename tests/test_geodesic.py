@@ -12,6 +12,7 @@ import pytest
 from eslrsim import geodesic as G
 from eslrsim import mesh as M
 from eslrsim.errors import DisconnectedMeshError, ValidationError
+from support import save_obj
 
 
 def stress(coords, d):
@@ -562,7 +563,7 @@ class TestPreprocessBytes:
     def test_grid20_four_smacof_iterations(self, tmp_path):
         # 400 rows is not a multiple of the distance block size
         garment = tmp_path / "grid20.obj"
-        M.save_obj(garment, M.grid_cloth(20, 20))
+        save_obj(garment, M.grid_cloth(20, 20))
         digest = self.preprocess_digest(
             tmp_path, garment, '{"geodesic": {"mds_max_iters": 4}}')
         assert digest == "ad265472a863f941b0185e9a18ee673a93671e9947d8c1bd74591f5945e7c71d"
@@ -571,14 +572,14 @@ class TestPreprocessBytes:
         # 1,089 rows: many blocks of pairwise distances with a partial last
         # one, and the C-ordered subspace start
         garment = tmp_path / "grid33.obj"
-        M.save_obj(garment, M.grid_cloth(33, 33))
+        save_obj(garment, M.grid_cloth(33, 33))
         digest = self.preprocess_digest(
             tmp_path, garment, '{"geodesic": {"mds_max_iters": 4}}')
         assert digest == "183ed2086f91d6700e4e9a378193e2b8a70f7446475647598a7af5647c163701"
 
     def test_grid33_two_processes_write_the_same_bytes(self, tmp_path):
         garment = tmp_path / "grid33.obj"
-        M.save_obj(garment, M.grid_cloth(33, 33))
+        save_obj(garment, M.grid_cloth(33, 33))
         runs = []
         for name in ("a", "b"):
             (tmp_path / name).mkdir()

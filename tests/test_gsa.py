@@ -3,6 +3,7 @@ import pytest
 
 from eslrsim import gsa as G
 from eslrsim import tensor as T
+from support import grad_check
 
 
 def quadratic_attention_oracle(q, k, v):
@@ -77,7 +78,7 @@ class TestLinearAttention:
         k = params.add("k", rng.standard_normal((5, 3)))
         v = params.add("v", rng.standard_normal((5, 3)))
         w = T.Tensor(rng.standard_normal((5, 3)))
-        report = T.grad_check(
+        report = grad_check(
             lambda: T.tsum(T.mul(G.linear_attention(q, k, v), w)), params)
         assert max(report.values()) <= 1e-6
 

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from eslrsim import lsdmp as L
 from eslrsim import tensor as T
+from support import grad_check
 
 
 def latent_graph(vertex_feats, mesh_edge_feats, world_edge_feats, mesh_edges,
@@ -494,7 +496,7 @@ class TestFusedSmoothing:
             out = smooth(out, params["e"], lg)
             return T.tsum(T.mul(T.mul(out, out), w))
 
-        assert max(T.grad_check(f, params).values()) <= 1e-6
+        assert max(grad_check(f, params).values()) <= 1e-6
 
     def test_one_tape_node_per_step(self):
         lg = random_graph(8, 3, seed=35, n_garment=6)
@@ -611,7 +613,7 @@ class TestFusedAggregation:
 
         # the model-level bound of the FD suite: the path runs through ReLU MLPs
         # and LayerNorms of width 3
-        assert max(T.grad_check(f, params, names=["v", "e", "w"]).values()) <= 1e-4
+        assert max(grad_check(f, params, names=["v", "e", "w"]).values()) <= 1e-4
 
     def test_one_tape_node_per_aggregation(self):
         lg = leaf_graph(seed=47)
@@ -622,3 +624,41 @@ class TestFusedAggregation:
         assert mlp_input._prev == (e, v, v)
         total = L.incident_sum(lg.plan.edges, e)
         assert total._prev == (e, e)
+
+
+def layer_outputs(lg, params, name):
+    out = L.lsdmp_layer(lg, params, name, 2)
+    return out.vertex_feats, out.mesh_edge_feats, out.world_edge_feats
+
+
+UPDATES = {  # name -> (the update's outputs as a tuple, what the test's `rows` counts)
+    "edge": (lambda lg, p, name: L.mp_edge_update(lg, p, name), "mesh edges"),
+    "vertex": (lambda lg, p, name: (L.mp_vertex_update(
+        lg, lg.mesh_edge_feats, lg.world_edge_feats, p, name),), "vertices"),
+    "layer": (layer_outputs, "vertices"),
+}
+
+
+class TestRowBlocks:
+    """Without a tape the MLPs run over blocks of 512-1,023 rows and build
+    each block's input themselves; the outputs must keep the bytes of the
+    whole-array arithmetic that a taped step runs. The row counts sit on
+    each side of the block boundaries."""
+
+    @pytest.mark.parametrize("rows", [511, 512, 1023, 1024, 1025, 1537])
+    @pytest.mark.parametrize("h", [8, 16, 64])
+    @pytest.mark.parametrize("update", sorted(UPDATES))
+    def test_untaped_update_equals_taped_bitwise(self, update, h, rows):
+        fn, counted = UPDATES[update]
+        params = layer_params(h, seed=rows + h)
+        # random_graph(n) has n vertices and n + 3 mesh edges
+        n = rows - 3 if counted == "mesh edges" else rows
+        for n_world in range(4):
+            lg = random_graph(n, h, seed=n_world, n_world=n_world, n_garment=n - 8)
+            assert len(lg.world_edge_feats.data) == n_world
+            taped = fn(lg, params, "lsdmp.layer0")
+            with T.no_grad():
+                untaped = fn(lg, params, "lsdmp.layer0")
+            assert taped[0].requires_grad and not untaped[0].requires_grad
+            for a, b in zip(untaped, taped, strict=True):
+                assert a.data.tobytes() == b.data.tobytes(), n_world

@@ -4,6 +4,7 @@ import pytest
 from eslrsim import mesh as M
 from eslrsim import physics as P
 from eslrsim import tensor as T
+from support import grad_check
 
 
 def cloth_scene(seed=0, jitter=0.02):
@@ -20,7 +21,7 @@ def position_grad_check(f, pos, h=1e-6, rel_tol=1e-6):
     """FD check of scalar f(pos Tensor) against autodiff, L-inf normalized."""
     params = T.ModelParams()
     p = params.add("pos", pos)
-    report = T.grad_check(lambda: f(p), params, h=h)
+    report = grad_check(lambda: f(p), params, h=h)
     assert report["pos"] <= rel_tol, report
 
 

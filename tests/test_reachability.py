@@ -1,6 +1,7 @@
 """Every top-level function and class of the package is reachable: something
 in `src/` or `bench/` names it, or `pyproject.toml` makes it an entry point.
-A helper whose last caller is deleted fails here."""
+A helper whose last caller is deleted fails here, and so does one that only
+tests call: such helpers live in `tests/support.py`."""
 
 import ast
 import re
@@ -9,14 +10,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "eslrsim").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
-
-# names that only tests call
-TEST_SUPPORT = {
-    "grad_check": "the finite-difference gradient checker of the tape tests",
-    "save_obj": "writes the garment OBJ files the tests build",
-    "smoothed": "the trailing moving average of acceptance criterion 5 and "
-                "tests/test_trainer.py",
-}
 
 
 def local_names(fn: ast.AST) -> set[str]:
@@ -65,7 +58,5 @@ def test_every_top_level_definition_is_referenced():
             # a definition's own body (recursion) does not make it reachable
             used |= referenced_names(stmt) - {own}
     unreferenced = sorted(f"{file}: {name}" for name, file in defined.items()
-                          if name not in used and name not in TEST_SUPPORT)
+                          if name not in used)
     assert not unreferenced, unreferenced
-    assert all(name in defined and name not in used for name in TEST_SUPPORT), (
-        "a test-support name is gone or now has a caller; update TEST_SUPPORT")

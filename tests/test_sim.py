@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from eslrsim import sim as S
 from eslrsim import tensor as T
 from eslrsim.config import RunConfig, config_from_dict
 from eslrsim.errors import ValidationError
+from support import grad_check, save_obj
 
 
 def unzero_output_layers(params, seed=1234):
@@ -322,7 +324,7 @@ class TestStepLossGradient:
             out = S.step(state, params, scene)
             return S.step_loss(state, out, scene)[0]
 
-        report = T.grad_check(f, params, h=1e-5, sample_fraction=0.05, seed=8)
+        report = grad_check(f, params, h=1e-5, sample_fraction=0.05, seed=8)
         worst = max(report.values())
         assert worst <= 1e-4, sorted(report.items(), key=lambda kv: -kv[1])[:5]
 
@@ -399,7 +401,7 @@ class TestModelParams:
         cfg = desk_config()
         garment = M.grid_cloth(4, 4)
         garment_path = tmp_path / "g.obj"
-        M.save_obj(garment_path, garment)
+        save_obj(garment_path, garment)
         with pytest.raises(ValidationError, match="preprocess"):
             S.load_garment_assets(garment_path, cfg)
 
@@ -519,3 +521,64 @@ class TestFrameCaches:
         nxt.world = M.build_world_edges(nxt.x_g, nxt.x_b, scene.garment.world_radius)
         nxt.x_b = nxt.x_b + 1.0
         assert nxt.world is None and nxt.normals_b is normals
+
+
+@pytest.fixture(scope="module")
+def scene_2k():
+    """The `rollout-2k` benchmark's size: a 45x45 grid against swinging_capsule
+    at the default config, 6,184 mesh edges and 2,123 vertices (12 and 4 row
+    blocks of an untaped MLP, each with a folded tail)."""
+    cfg = RunConfig()
+    garment_mesh = M.grid_cloth(45, 45)
+    rng = np.random.default_rng(21)
+    embedding = rng.standard_normal((garment_mesh.n_vertices, cfg.geodesic.embed_dim))
+    garment = S.garment_assets_from_mesh(garment_mesh, cfg, embedding)
+    scene = S.build_scene(garment, S.make_body_motion("swinging_capsule", cfg), cfg)
+    assert (len(scene.plan.mesh_edges), scene.plan.n_total) == (6184, 2123)
+    params = S.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=21)
+    unzero_output_layers(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the capsule's inward normals
+        state = S.initial_state(garment, scene.body, cfg)
+    return scene, params, state
+
+
+class TestRowBlockedStep:
+    def test_untaped_step_equals_taped_bitwise(self, scene_2k):
+        """The reference runs with gradients on, the whole-array arithmetic a
+        training step runs. Its parameters are frozen, so no tape is kept
+        (one would take about 800 MB at this size)."""
+        scene, params, state = scene_2k
+        with T.no_grad():
+            untaped = S.step(state, params, scene)
+        frozen = T.ModelParams()
+        for name, t in params.items():
+            frozen.add(name, t.data).requires_grad = False
+        taped = S.step(state, frozen, scene)
+        assert untaped.accel.data.tobytes() == taped.accel.data.tobytes()
+        assert untaped.x_next.data.tobytes() == taped.x_next.data.tobytes()
+
+    def test_untaped_edge_update_holds_less_than_its_whole_input(self, scene_2k):
+        """tracemalloc counts numpy's buffers: the update's peak over what was
+        allocated before stays below one (M, 3h) input, the array the
+        whole-input update built in every layer."""
+        scene, params, _ = scene_2k
+        plan, h = scene.plan, scene.cfg.model.hidden_dim
+        rng = np.random.default_rng(22)
+        world = np.stack([rng.integers(0, plan.n_garment, 44),
+                          rng.integers(plan.n_garment, plan.n_total, 44)], axis=1)
+        lg = L.LatentGraph(T.Tensor(rng.standard_normal((plan.n_total, h))),
+                           T.Tensor(rng.standard_normal((len(plan.mesh_edges), h))),
+                           T.Tensor(rng.standard_normal((len(world), h))),
+                           plan, L.EdgeIncidence(world, plan.n_total))
+        whole_input = len(plan.mesh_edges) * 3 * h * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            with T.no_grad():
+                out = L.mp_edge_update(lg, params, "lsdmp.layer0")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out[0].data.shape == (len(plan.mesh_edges), h)
+        assert peak - before < whole_input

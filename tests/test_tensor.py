@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eslrsim import tensor as T
+from support import grad_check
 
 
 def fd_grad(f, x, h=1e-5):
@@ -259,8 +260,8 @@ class TestMLP:
         T.mlp_init(params, "m", 4, 6, 2, rng, norm=True)
         x = T.Tensor(rng.standard_normal((3, 4)))
         w = T.Tensor(rng.standard_normal((3, 2)))
-        report = T.grad_check(lambda: T.tsum(T.mul(T.mlp_apply(params, "m", x), w)),
-                              params)
+        report = grad_check(lambda: T.tsum(T.mul(T.mlp_apply(params, "m", x), w)),
+                            params)
         assert max(report.values()) <= 1e-6
 
     def test_width_mismatch(self):
@@ -270,13 +271,21 @@ class TestMLP:
             T.mlp_apply(params, "m", T.Tensor(np.ones((2, 5))))
 
 
+@pytest.mark.parametrize("n, bounds", [
+    (0, []), (1, [(0, 1)]), (511, [(0, 511)]), (1023, [(0, 1023)]),
+    (1024, [(0, 512), (512, 1024)]),
+    (6184, [(i, i + 512) for i in range(0, 5632, 512)] + [(5632, 6184)])])
+def test_row_blocks_fold_a_short_tail_into_the_last_block(n, bounds):
+    assert [(b.start, b.stop) for b in T.row_blocks(n)] == bounds
+
+
 class TestGradCheck:
     def test_quadratic(self):
         params = T.ModelParams()
         x = params.add("x", np.array([3.0]))
         # central differences are exact for quadratics, so a larger h avoids
         # the f64 roundoff floor entirely
-        report = T.grad_check(lambda: T.tsum(T.mul(x, x)), params, h=1e-3)
+        report = grad_check(lambda: T.tsum(T.mul(x, x)), params, h=1e-3)
         assert report["x"] <= 1e-10
 
     def test_zero_grad_for_independent_loss(self):
@@ -545,7 +554,7 @@ class TestFusedMLP:
                 out = T.mlp_apply(params, "m", params["x"])
                 return T.tsum(T.mul(T.mul(out, out), g))
 
-            assert max(T.grad_check(f, params).values()) <= 1e-6
+            assert max(grad_check(f, params).values()) <= 1e-6
 
     def test_constant_operands_get_no_gradient(self):
         params = random_mlp(True, seed=12)

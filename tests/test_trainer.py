@@ -15,6 +15,7 @@ from eslrsim import tensor as T
 from eslrsim import trainer as TR
 from eslrsim.config import TrainerConfig, config_from_dict
 from eslrsim.errors import ValidationError
+from support import save_obj, smoothed
 
 
 class TestAdam:
@@ -104,7 +105,7 @@ class TestSampleScene:
 def tiny_run_config(tmp_path, iterations=3, lr=1e-4, seed=0):
     garment = M.grid_cloth(4, 4)
     garment_path = tmp_path / "cloth.obj"
-    M.save_obj(garment_path, garment)
+    save_obj(garment_path, garment)
     topo = M.build_topology(garment)
     rest = M.compute_rest_quantities(garment, topo, 0.2)
     dm = G.geodesic_distances(topo, rest)
@@ -175,7 +176,7 @@ class TestTrain:
 class TestSmoothed:
     def test_window_average(self):
         vals = np.arange(10, dtype=float)
-        sm = TR.smoothed(vals, 3)
+        sm = smoothed(vals, 3)
         assert sm[0] == 0.0
         assert sm[1] == 0.5
         assert sm[9] == (7 + 8 + 9) / 3
