@@ -106,9 +106,10 @@ def cmd_train(args) -> int:
 # -- checkpoint loading shared by simulate and eval -----------------------------
 
 def _load_model(ckpt_path, overrides: dict | None = None) -> tuple[T.ModelParams, RunConfig]:
-    """The model a checkpoint describes, its echoed config with `overrides`
-    applied (see `config_from_dict`); a config, parameter set or shape that
-    does not fit raises ValidationError naming the file."""
+    """The model a checkpoint describes, as the float32 copy that a rollout
+    runs, and its echoed config with `overrides` applied (see
+    `config_from_dict`); a config, parameter set, shape or value that does not
+    fit raises ValidationError naming the file."""
     state, header = T.load_checkpoint(ckpt_path)
     try:
         cfg = config_from_dict(header.get("config", {}), overrides)
@@ -129,9 +130,9 @@ def _load_model(ckpt_path, overrides: dict | None = None) -> tuple[T.ModelParams
             raise ValidationError(f"parameter set does not match its config "
                                   f"({sorted(missing)[:4]}...)")
         params.load_state_dict(state)
+        return params.astype(np.float32), cfg
     except ValidationError as e:
         raise ValidationError(f"{ckpt_path}: {e}") from None
-    return params, cfg
 
 
 # -- simulate -------------------------------------------------------------------

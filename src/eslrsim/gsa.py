@@ -32,13 +32,19 @@ def init_gsa_params(params: ModelParams, n_blocks: int, hidden_dim: int,
 
 
 def _phi(x: Tensor) -> Tensor:
-    """elu(x) + 1 written as relu(x) + exp(min(x, 0)).
+    """elu(x) + 1 written as relu(x) + exp(min(x, 0)), as one tape op.
 
     Identical function, but the negative branch is exp rather than expm1 + 1,
-    which stays strictly positive in f64 down to x ~ -745 instead of rounding
-    to zero near -36; that keeps the attention denominator positive.
+    which stays strictly positive down to x ~ -745 in float64 instead of
+    rounding to zero near -36; that keeps the attention denominator positive.
+    In float32 exp underflows near -87 (subnormal, zero below -103) and
+    expm1 + 1 rounds to zero near -17. The values and gradients are
+    those of `relu(x) + exp(-relu(-x))` as separate ops: the vjp adds the
+    relu branch's gradient first, then the exp branch's.
     """
-    return T.add(T.relu(x), T.exp(T.neg(T.relu(T.neg(x)))))
+    e = np.exp(-np.maximum(-x.data, 0.0))
+    return T._node(np.maximum(x.data, 0.0) + e, (x,), "phi",
+                   lambda g: (g * (x.data > 0.0) + g * e * (x.data < 0.0),))
 
 
 def gsa_inject(vertex_feats: Tensor, embed: np.ndarray) -> Tensor:
@@ -52,7 +58,8 @@ def gsa_inject(vertex_feats: Tensor, embed: np.ndarray) -> Tensor:
         raise ValueError(
             f"geodesic embedding rows ({embed.shape[0]}) do not match garment "
             f"vertex count ({n}); re-run preprocess for this mesh")
-    return T.concat([vertex_feats, Tensor(embed)], axis=-1)
+    return T.concat([vertex_feats, Tensor(embed.astype(vertex_feats.data.dtype, copy=False))],
+                    axis=-1)
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

@@ -137,13 +137,16 @@ def assemble_input_features(positions: np.ndarray, velocities: np.ndarray,
 def encode(params: ModelParams, positions: np.ndarray, velocities: np.ndarray,
            normals: np.ndarray, plan: MeshPlan, world_edges: np.ndarray) -> LatentGraph:
     """Build the latent graph for one step from plain state arrays; the
-    world-edge incidences are built here, once per step."""
-    vertex, mesh_e, world_e = assemble_input_features(positions, velocities, normals,
-                                                      plan, world_edges)
+    world-edge incidences are built here, once per step. The raw features are
+    float64 and are cast once to the parameters' dtype."""
+    dtype = params["encoder.vertex.w0"].data.dtype
+    vertex, mesh_e, world_e = (Tensor(a.astype(dtype, copy=False)) for a in
+                               assemble_input_features(positions, velocities, normals,
+                                                       plan, world_edges))
     return LatentGraph(
-        vertex_feats=T.mlp_apply(params, "encoder.vertex", Tensor(vertex)),
-        mesh_edge_feats=T.mlp_apply(params, "encoder.mesh_edge", Tensor(mesh_e)),
-        world_edge_feats=T.mlp_apply(params, "encoder.world_edge", Tensor(world_e)),
+        vertex_feats=T.mlp_apply(params, "encoder.vertex", vertex),
+        mesh_edge_feats=T.mlp_apply(params, "encoder.mesh_edge", mesh_e),
+        world_edge_feats=T.mlp_apply(params, "encoder.world_edge", world_e),
         plan=plan,
         world_plan=EdgeIncidence(world_edges, plan.n_total),
     )
@@ -229,26 +232,28 @@ def laplacian_smooth_step(v: Tensor, mesh_e: Tensor, lg: LatentGraph,
     if plan.n_garment_edges == 0:
         return v
     nb = plan.neighbours
-    mean = nb.add_steps((v.data[src] + e for src, e in zip(nb.steps, edge_rows)),
-                        v.data.shape[1:])
-    mean /= plan.denom
-    mean *= plan.mask
-    out = v.data * plan.keep
+    # 0/1 and small counts: the cast to v's dtype is exact
+    denom, mask, keep = (a.astype(v.data.dtype, copy=False)
+                         for a in (plan.denom, plan.mask, plan.keep))
+    mean = nb.add_steps((v.data[src] + e for src, e in zip(nb.steps, edge_rows)), v.data)
+    mean /= denom
+    mean *= mask
+    out = v.data * keep
     out += mean
     n_edges = mesh_e.data.shape[0]
 
     def vjp(g):
-        gm = g * plan.mask
-        gm /= plan.denom
+        gm = g * mask
+        gm /= denom
         gv = ge = None
         if v.requires_grad:
             gv = plan.neighbours_back.sum(gm)
         if mesh_e.requires_grad:
-            ge = np.zeros((n_edges,) + g.shape[1:])
+            ge = np.zeros((n_edges,) + g.shape[1:], g.dtype)
             head = ge[:plan.n_garment_edges]
             head += gm[plan.garment.first.ids]
             head += gm[plan.garment.second.ids]
-        return gv, ge, (g * plan.keep if v.requires_grad else None)
+        return gv, ge, (g * keep if v.requires_grad else None)
 
     return T._node(out, (v, mesh_e, v), "laplacian_smooth", vjp)
 

@@ -6,6 +6,11 @@ long-range (geodesic attention) processors in parallel on the same latents,
 fuses their garment features, decodes per-vertex accelerations, and applies
 explicit Euler integration. The body advances kinematically from an analytic
 motion preset, so its velocities are exact derivatives, never differenced.
+
+The network runs in its parameters' dtype: float64 in training, float32 in
+`rollout`. The garment and body state, the raw encoder features, the
+integration, world edges, physics losses, metrics and OBJ frames are float64
+either way; a float32 acceleration enters them at `accel * dt`.
 """
 
 from __future__ import annotations
@@ -383,12 +388,16 @@ def rollout(state: SimState, params: ModelParams, n_frames: int, scene: Scene,
             out_dir=None) -> list[dict]:
     """Run `n_frames` steps; returns one metrics record per frame.
 
-    Aborts with the offending frame index if any state stops being finite.
-    Frames are written as OBJ files and metrics appended to metrics.jsonl when
-    an output directory is given.
+    The network runs on a float32 copy of `params`, made before the first
+    step; the state, its integration, the losses and metrics and the frames
+    stay float64 (see the module docstring). A parameter that float32 cannot
+    hold raises ValidationError. Aborts with the offending frame index if any
+    state stops being finite. Frames are written as OBJ files and metrics
+    appended to metrics.jsonl when an output directory is given.
     """
     if n_frames < 1:
         raise ValidationError("rollout needs n_frames >= 1")
+    params = params.astype(np.float32)
     records = []
     metrics_fh = None
     if out_dir is not None:

@@ -1,4 +1,4 @@
-"""Dense f64 tensors with reverse-mode automatic differentiation.
+"""Dense float32/float64 tensors with reverse-mode automatic differentiation.
 
 Every op makes its output through `_node(data, parents, op_name, vjp)`. When
 any parent requires a gradient, the output records its parents and `vjp`, its
@@ -15,9 +15,14 @@ order the separate ops accumulated them.
 only place gradients are accumulated. Backward consumes the tape: after a
 node's vjp has run, the node drops its vjp, parents and gradient, so
 activations are freed during the sweep; leaves keep their gradients, and a
-second `backward()` through a consumed tape raises. All math is float64 and
-every reduction runs in a fixed (ascending-index) order, so replaying the same
-computation is bit-identical.
+second `backward()` through a consumed tape raises. Every reduction runs in a
+fixed (ascending-index) order, so replaying the same computation is
+bit-identical.
+
+The dtype follows the data: a `Tensor` keeps float32 and float64 input and
+makes anything else float64, and every op computes in numpy's promotion of
+its inputs. Training and its parameters are float64; `ModelParams.astype`
+makes the float32 copy that a rollout runs (see `sim`).
 
 Without a tape, `mlp_apply` runs a hidden-width MLP over blocks of 512 rows
 (`row_blocks`) and makes each block's input when it needs it, so no whole
@@ -43,6 +48,7 @@ CHECKPOINT_MAGIC = b"ESLR-CKPT1\n"
 
 # Toggled by no_grad(); when False, ops do not record parents or closures.
 _GRAD_ENABLED = True
+_FLOATS = (np.float32, np.float64)  # the dtypes a Tensor keeps
 _ROW_BLOCK = 512  # rows per block of an untaped MLP, see the module docstring
 
 
@@ -65,7 +71,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_vjp", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._vjp: Callable | None = None
@@ -168,11 +175,6 @@ def cross3(a, b) -> Tensor:
 
 # -- elementwise unary ops -------------------------------------------------
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(-a.data, (a,), "neg", lambda g: (-g,))
-
-
 def pow_scalar(a, p: float) -> Tensor:
     a = as_tensor(a)
     return _node(a.data ** p, (a,), "pow", lambda g: (g * p * a.data ** (p - 1),))
@@ -182,12 +184,6 @@ def sqrt(a) -> Tensor:
     a = as_tensor(a)
     root = np.sqrt(a.data)
     return _node(root, (a,), "sqrt", lambda g: (g * 0.5 / root,))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    e = np.exp(a.data)
-    return _node(e, (a,), "exp", lambda g: (g * e,))
 
 
 def relu(a) -> Tensor:
@@ -320,10 +316,11 @@ class Incidence:
         inv[self.order] = np.arange(self.n)
         return inv
 
-    def add_steps(self, parts, tail: tuple) -> np.ndarray:
-        """Per-segment sums of `parts`, one (m_k,) + tail block per step (the
-        step's rows, gathered or built by the caller); empty segments are 0.0."""
-        acc = np.zeros((self.n,) + tail)
+    def add_steps(self, parts, like: np.ndarray) -> np.ndarray:
+        """Per-segment sums of `parts`, one (m_k,) + like.shape[1:] block of
+        like's dtype per step (the step's rows, gathered or built by the
+        caller); empty segments are 0.0."""
+        acc = np.zeros((self.n,) + like.shape[1:], like.dtype)
         for part in parts:
             acc[:len(part)] += part
             del part  # holding two parts at once made a 2k incident sum ~25 % slower
@@ -337,7 +334,7 @@ class Incidence:
             fits = values.shape[0] > self.rows.max(initial=-1)
         if not fits:
             raise _shape_err("Incidence.sum", values.shape, self.ids.shape)
-        return self.add_steps((values[rows] for rows in self.steps), values.shape[1:])
+        return self.add_steps((values[rows] for rows in self.steps), values)
 
 
 def _incidence(op: str, segment_ids, n: int) -> Incidence:
@@ -505,6 +502,21 @@ class ModelParams:
             for name, t in self._params.items()
         }
 
+    def astype(self, dtype) -> ModelParams:
+        """Every parameter cast to `dtype` (an array already of `dtype` is
+        shared, not copied), names and shapes kept. A finite value that the
+        cast makes infinite raises ValidationError naming its parameter, the
+        first one in storage order."""
+        out = ModelParams()
+        with np.errstate(over="ignore"):
+            for name, t in self._params.items():
+                data = t.data.astype(dtype, copy=False)
+                if np.any(np.isinf(data) & np.isfinite(t.data)):
+                    raise ValidationError(f"parameter '{name}' holds a value beyond "
+                                          f"the range of {np.dtype(dtype).name}")
+                out._params[name] = Tensor(data, requires_grad=t.requires_grad)
+        return out
+
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
@@ -630,7 +642,7 @@ def mlp_apply(params: ModelParams, name: str, x, residual=None) -> Tensor:
     (t0, inc0), parents = parts[0], [t for t, _ in parts]
     if not _GRAD_ENABLED:
         n, w = (t0.data.shape[0] if inc0 is None else len(inc0.ids)), p[4].data
-        out = np.empty((n, w.shape[1]))
+        out = np.empty((n, w.shape[1]), np.result_type(*(t.data for t in parents + p)))
         for rows in row_blocks(n) if w.shape[0] == w.shape[1] else [slice(0, n)]:
             out[rows] = _mlp_forward(p, build(rows), keep=False)[0]
             if residual is not None:

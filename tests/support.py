@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a finite-difference gradient checker, an
-OBJ writer for the garments the tests build, and the moving average of the
-training-loss checks."""
+OBJ writer for the garments the tests build, the moving average of the
+training-loss checks and the unfused ops that fused ones are checked
+against."""
 
 from typing import Callable
 
@@ -68,3 +69,19 @@ def smoothed(values: np.ndarray, window: int) -> np.ndarray:
         lo = max(0, i + 1 - window)
         out[i] = (c[i + 1] - c[lo]) / (i + 1 - lo)
     return out
+
+
+def neg(a) -> T.Tensor:
+    a = T.as_tensor(a)
+    return T._node(-a.data, (a,), "neg", lambda g: (-g,))
+
+
+def exp(a) -> T.Tensor:
+    a = T.as_tensor(a)
+    e = np.exp(a.data)
+    return T._node(e, (a,), "exp", lambda g: (g * e,))
+
+
+def unfused_phi(x) -> T.Tensor:
+    """`gsa._phi` as the six separate ops it fuses."""
+    return T.add(T.relu(x), exp(neg(T.relu(neg(x)))))

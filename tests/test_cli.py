@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eslrsim import cli, sim
+from eslrsim import tensor as T
 from eslrsim import geodesic as geo
 from eslrsim import mesh as M
 from eslrsim.config import config_from_dict, save_config
@@ -423,6 +425,39 @@ class TestSimulateCli:
                 for line in (out / "metrics.jsonl").read_text().splitlines()]
         assert len(recs) == 5
         assert all(np.isfinite(r["total"]) for r in recs)
+
+
+@pytest.fixture
+def beyond_float32(tmp_path, trained):
+    """The trained checkpoint with one finite value that float32 cannot hold."""
+    state, header = T.load_checkpoint(trained)
+    params = T.ModelParams()
+    for name, array in state.items():
+        params.add(name, array)
+    params["fusion.b1"].data[2] = 1e39
+    path = tmp_path / "big.ckpt"
+    T.save_checkpoint(path, params, header["config"], header["iteration"], header["seed"])
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_value_beyond_float32_exits_2(tmp_path, garment_obj, beyond_float32, command,
+                                      capsys):
+    scenes = tmp_path / "scenes.json"
+    scenes.write_text(json.dumps([{"garment": str(garment_obj), "body": "static_sphere"}]))
+    args = {"simulate": ["--garment", str(garment_obj), "--body", "static_sphere",
+                         "--frames", "1", "--out", str(tmp_path / "frames")],
+            "eval": ["--scenes", str(scenes), "--report", str(tmp_path / "r.txt"),
+                     "--frames", "1"]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--ckpt", str(beyond_float32)] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {beyond_float32}: parameter 'fusion.b1' holds a value "
+                   f"beyond the range of float32\n")
+    assert not (tmp_path / "frames").exists() and not (tmp_path / "r.txt").exists()
 
 
 class TestEvalCli:

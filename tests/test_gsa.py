@@ -3,7 +3,7 @@ import pytest
 
 from eslrsim import gsa as G
 from eslrsim import tensor as T
-from support import grad_check
+from support import grad_check, unfused_phi
 
 
 def quadratic_attention_oracle(q, k, v):
@@ -81,6 +81,40 @@ class TestLinearAttention:
         report = grad_check(
             lambda: T.tsum(T.mul(G.linear_attention(q, k, v), w)), params)
         assert max(report.values()) <= 1e-6
+
+
+class TestPhi:
+    """`_phi` is one tape op with the values and gradients of the six ops."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_unfused_ops_bitwise(self, dtype):
+        rng = np.random.default_rng(12)
+        x0 = np.concatenate([10.0 * rng.standard_normal(200), [0.0, -0.0, -700.0, 700.0]])
+        x0 = x0.reshape(-1, 4).astype(dtype)
+        w = T.Tensor(rng.standard_normal(x0.shape).astype(dtype))
+        results = []
+        for phi in (G._phi, unfused_phi):
+            x = T.Tensor(x0.copy(), requires_grad=True)
+            y = phi(x)
+            T.backward(T.tsum(T.mul(y, w)))
+            results.append((y.data.dtype, y.data.tobytes(), x.grad.dtype, x.grad.tobytes()))
+        assert results[0] == results[1]
+        assert results[0][0] == dtype and results[0][2] == dtype
+
+    def test_one_tape_node(self):
+        x = T.Tensor(np.ones((3, 2)), requires_grad=True)
+        y = G._phi(x)
+        assert y._prev == (x,)
+
+    def test_gradient_matches_fd(self):
+        params = T.ModelParams()
+        rng = np.random.default_rng(13)
+        x0 = rng.standard_normal((6, 5))
+        x0[np.abs(x0) < 0.05] = 0.5  # away from the kink at 0
+        x = params.add("x", x0)
+        w = T.Tensor(rng.standard_normal((6, 5)))
+        report = grad_check(lambda: T.tsum(T.mul(G._phi(x), w)), params)
+        assert report["x"] <= 1e-6
 
 
 class TestBlock:

@@ -331,11 +331,13 @@ class TestStepLossGradient:
 
 class TestRollout:
     def test_t1_equals_step(self):
+        """A rollout runs the network in float32: its first frame is a float32 step."""
         scene, cfg = small_scene()
         params = S.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=9)
         state = S.initial_state(scene.garment, scene.body, cfg)
         records = S.rollout(state, params, 1, scene)
-        out = S.step(state, params, scene)
+        with T.no_grad():
+            out = S.step(state, params.astype(np.float32), scene)
         _, breakdown = S.step_loss(state, out, scene)
         assert len(records) == 1
         assert records[0]["total"] == breakdown["total"]
@@ -454,15 +456,20 @@ sim.rollout(state, params, 3, scene, out_dir=sys.argv[1])
 
 class TestRolloutBytes:
     """A 3-frame rollout of a 20x20 grid against swinging_capsule at the default
-    depth writes the bytes the unfused smoothing, bincount scatter and separate
-    matmul/bias ops wrote (numpy's bundled OpenBLAS 0.3.31, one thread, so
-    each run is a subprocess with one BLAS thread)."""
+    depth writes the bytes recorded here (numpy's bundled OpenBLAS 0.3.31, one
+    thread, so each run is a subprocess with one BLAS thread).
+
+    Re-recorded when rollouts moved the network to float32: the float64
+    network had written frames `80039a70...`, `a380c97e...` and `1196da8d...`
+    and metrics `e9c65981...`, the bytes of the unfused smoothing, bincount
+    scatter and separate matmul/bias ops. `TestFloat32Rollout` bounds the
+    float32 rollout against the float64 steps."""
 
     DIGESTS = {
-        "frame_00000.obj": "80039a70353d0f35e4e0c42bae59e7def0fa3cf76e9e24306b15a1bf568f1cef",
-        "frame_00001.obj": "a380c97e0b8cd58ef6e7fa2996bbb3f81b3185836a18095aafd5986103426ef5",
-        "frame_00002.obj": "1196da8da871477f85ed713ad84b2100cb8fabc9fe702e49ea5f3721397b8dae",
-        "metrics.jsonl": "e9c65981b13940a20504286fd73135024a6aa11a1591cc2f00810078048ae70b",
+        "frame_00000.obj": "119eeca45438101bad4965a975db29adf106a56dfd8aab7df94a8a1e85561c3b",
+        "frame_00001.obj": "285561bcb27162a20109e043745b3a29bd17b4cdb6e0c85501c5bb1923307330",
+        "frame_00002.obj": "6962ec2570ffcf7027f28ea6b285beba4e37dd5468b65f0cf0f6eed1f7dabfee",
+        "metrics.jsonl": "7dd8bc74436f1d0d6d739acc465cac0e7fc92687520645061f510716691f779d",
     }
 
     def test_frames_match_recorded_digests(self, tmp_path):
@@ -582,3 +589,100 @@ class TestRowBlockedStep:
             tracemalloc.stop()
         assert out[0].data.shape == (len(plan.mesh_edges), h)
         assert peak - before < whole_input
+
+
+class TestFloat32Rollout:
+    """`rollout` runs the network on a float32 copy of the parameters. The
+    bound was declared before the float32 path was written: over 10 frames of
+    a 20x20 grid against swinging_capsule at the default depth, with seeded
+    non-zero output layers, the largest vertex deviation from a float64 loop
+    of `step` + `step_loss` is at most 1e-3 of the mean rest edge, and every
+    logged term, `total` and `max_penetration` are within 1e-4 relative."""
+
+    FRAMES = 10
+
+    def test_within_the_declared_bound_of_float64(self, monkeypatch):
+        cfg = RunConfig()
+        rng = np.random.default_rng(5)
+        garment_mesh = M.grid_cloth(20, 20)
+        embedding = rng.standard_normal((garment_mesh.n_vertices, cfg.geodesic.embed_dim))
+        garment = S.garment_assets_from_mesh(garment_mesh, cfg, embedding)
+        scene = S.build_scene(garment, S.make_body_motion("swinging_capsule", cfg), cfg)
+        params = S.build_model_params(cfg.model, cfg.geodesic.embed_dim, seed=5)
+        for name, t in params.items():
+            if not np.any(t.data) and (name.endswith(".w2") or name.endswith(".wo")):
+                t.data = 0.01 * rng.standard_normal(t.data.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the capsule's inward normals
+            state0 = S.initial_state(garment, scene.body, cfg)
+
+        reference, positions, state = [], [], state0
+        with T.no_grad():
+            for frame in range(self.FRAMES):
+                out = S.step(state, params, scene)
+                _, breakdown = S.step_loss(state, out, scene)
+                state = out.next_state
+                reference.append({"frame": frame, **breakdown,
+                                  "max_penetration": S.max_penetration_depth(state, scene)})
+                positions.append(state.x_g)
+
+        got, step = [], S.step
+
+        def recorded(*args):
+            out = step(*args)
+            got.append(out.next_state.x_g)
+            assert out.accel.data.dtype == np.float32
+            return out
+
+        monkeypatch.setattr(S, "step", recorded)
+        records = S.rollout(state0, params, self.FRAMES, scene)
+        assert params["decoder.w0"].data.dtype == np.float64  # the caller's model is kept
+        rest_edge = float(garment.rest.edge_rest_lengths.mean())
+        deviation = max(np.abs(a - b).max() for a, b in zip(got, positions))
+        assert deviation <= 1e-3 * rest_edge, deviation / rest_edge
+        assert [r.keys() for r in records] == [r.keys() for r in reference]
+        for rec, ref in zip(records, reference):
+            for key, value in ref.items():
+                assert abs(rec[key] - value) <= 1e-4 * abs(value), (rec["frame"], key)
+
+
+class TestFloat32Step:
+    def test_no_quiet_float64(self, scene_2k, monkeypatch):
+        """A float32 step keeps its latents float32 (a promotion would cost the
+        speed, not a result) and its state float64."""
+        scene, params, state = scene_2k
+        p32 = params.astype(np.float32)
+        graphs, blocks = [], []
+        encode, layer, block = L.encode, L.lsdmp_layer, G.gsa_block
+        monkeypatch.setattr(L, "encode", lambda *a: graphs.append(encode(*a)) or graphs[-1])
+        monkeypatch.setattr(L, "lsdmp_layer", lambda *a: graphs.append(layer(*a)) or graphs[-1])
+        monkeypatch.setattr(G, "gsa_block", lambda *a: blocks.append(block(*a)) or blocks[-1])
+        with T.no_grad():
+            out = S.step(state, p32, scene)
+        assert len(graphs) == 1 + scene.cfg.model.lsdmp_layers
+        assert len(blocks) == scene.cfg.model.gsa_blocks
+        for lg in graphs:
+            for feats in (lg.vertex_feats, lg.mesh_edge_feats, lg.world_edge_feats):
+                assert feats.data.dtype == np.float32
+        assert all(b.data.dtype == np.float32 for b in blocks)
+        assert out.accel.data.dtype == np.float32
+        nxt = out.next_state
+        for a in (out.x_next.data, nxt.x_g, nxt.q_g, nxt.x_b, nxt.q_b, nxt.normals_b):
+            assert a.dtype == np.float64
+
+    def test_float32_step_peaks_at_most_0_6_of_float64(self, scene_2k):
+        scene, params, state = scene_2k
+        p32 = params.astype(np.float32)
+
+        def peak(p):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                with T.no_grad():
+                    S.step(state, p, scene)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        per_dtype = peak(params), peak(p32)
+        assert per_dtype[1] <= 0.6 * per_dtype[0], per_dtype

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eslrsim import tensor as T
-from support import grad_check
+from eslrsim.errors import ValidationError
+from support import exp, grad_check
 
 
 def fd_grad(f, x, h=1e-5):
@@ -108,7 +110,7 @@ class TestPrimitives:
 
     def test_smooth_unary_ops_fd(self):
         rng = np.random.default_rng(2)
-        check_op(T.exp, np.exp, (4, 3), rng)
+        check_op(exp, np.exp, (4, 3), rng)  # the oracle of the fused `gsa._phi`
         check_op(T.sqrt, np.sqrt, (4, 3), rng, shift=3.0)
         check_op(lambda x: T.pow_scalar(x, 3), lambda x: x ** 3, (4, 3), rng)
 
@@ -264,6 +266,20 @@ class TestMLP:
                             params)
         assert max(report.values()) <= 1e-6
 
+    @pytest.mark.parametrize("n", [5248, 6184])
+    def test_untaped_decoder_equals_taped_bitwise(self, n):
+        """A 3-wide MLP runs as one block. From 5,248 rows OpenBLAS rounds 512-row
+        blocks of its (n, 64) @ (64, 3) product differently from the whole."""
+        params = T.ModelParams()
+        rng = np.random.default_rng(4)
+        T.mlp_init(params, "m", 64, 64, 3, rng)
+        x = T.Tensor(rng.standard_normal((n, 64)))
+        taped = T.mlp_apply(params, "m", x)
+        assert taped.requires_grad
+        with T.no_grad():
+            untaped = T.mlp_apply(params, "m", x)
+        assert untaped.data.tobytes() == taped.data.tobytes()
+
     def test_width_mismatch(self):
         params = T.ModelParams()
         T.mlp_init(params, "m", 4, 6, 2, np.random.default_rng(0))
@@ -277,6 +293,73 @@ class TestMLP:
     (6184, [(i, i + 512) for i in range(0, 5632, 512)] + [(5632, 6184)])])
 def test_row_blocks_fold_a_short_tail_into_the_last_block(n, bounds):
     assert [(b.start, b.stop) for b in T.row_blocks(n)] == bounds
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensor_keeps_float32_and_float64(self, dtype):
+        a = np.ones((2, 3), dtype)
+        assert T.Tensor(a).data is a
+
+    @pytest.mark.parametrize("value", [np.arange(3), np.array([True, False]), 2, 1.5,
+                                       [1, 2], np.ones(2, np.float16),
+                                       np.ones(2, ">f8")])
+    def test_tensor_makes_anything_else_float64(self, value):
+        data = T.Tensor(value).data
+        assert data.dtype == np.dtype(np.float64)
+        assert np.array_equal(data, np.asarray(value, dtype=np.float64))
+
+    def test_ops_follow_the_data(self):
+        a = T.Tensor(np.ones((2, 2), np.float32))
+        assert T.matmul(a, a).data.dtype == np.float32
+        assert T.layer_norm(a, a, a).data.dtype == np.float32
+        # a Python float becomes a float64 Tensor, so it promotes like an array
+        assert T.mul(a, 2.0).data.dtype == np.float64
+        assert T.add(a, np.ones((2, 2))).data.dtype == np.float64
+
+    def test_incidence_sum_keeps_the_values_dtype(self):
+        inc = T.Incidence([0, 2, 0], 3)
+        for dtype in (np.float32, np.float64):
+            values = np.arange(6, dtype=dtype).reshape(3, 2)
+            got = inc.sum(values)
+            assert got.dtype == dtype
+            assert np.array_equal(got, [[4, 6], [0, 0], [2, 3]])
+
+    def test_untaped_mlp_output_follows_its_inputs(self):
+        params = T.ModelParams()
+        T.mlp_init(params, "m", 4, 8, 8, np.random.default_rng(0), norm=True)
+        p32 = params.astype(np.float32)
+        x = np.random.default_rng(1).standard_normal((5, 4))
+        with T.no_grad():
+            assert T.mlp_apply(p32, "m", T.Tensor(x.astype(np.float32))).data.dtype == np.float32
+            empty = T.mlp_apply(p32, "m", T.Tensor(np.zeros((0, 4), np.float32)))
+            assert empty.data.dtype == np.float32 and empty.data.shape == (0, 8)
+            assert T.mlp_apply(params, "m", T.Tensor(x)).data.dtype == np.float64
+
+    def test_astype_keeps_names_and_shapes(self):
+        params = T.ModelParams()
+        T.mlp_init(params, "m", 3, 4, 2, np.random.default_rng(2), norm=True)
+        params.add("scale", np.array([np.inf]))
+        cast = params.astype(np.float32)
+        assert cast.names() == params.names()
+        for name, t in cast.items():
+            src = params[name].data
+            assert t.data.dtype == np.float32 and t.data.shape == src.shape
+            assert np.array_equal(t.data, src.astype(np.float32))
+            assert t.requires_grad and src.dtype == np.float64
+        cast["m.w0"].data[...] = 0.0  # a copy: the source keeps its values
+        assert np.any(params["m.w0"].data)
+
+    def test_astype_names_the_first_value_float32_cannot_hold(self):
+        params = T.ModelParams()
+        params.add("ok", np.array([3e38, -np.inf, np.nan]))
+        params.add("big", np.array([1.0, 1e39]))
+        params.add("bigger", np.array([-1e300]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="'big' holds a value beyond "
+                                                      "the range of float32"):
+                params.astype(np.float32)
 
 
 class TestGradCheck:
