@@ -211,7 +211,9 @@ def mp_vertex_update(lg: LatentGraph, mesh_e: Tensor, world_e: Tensor,
 
 def smoothing_edge_rows(mesh_e: Tensor, lg: LatentGraph) -> list[np.ndarray]:
     """The edge rows each smoothing step adds, per step of the garment edges'
-    incidence; they are the same for all `s` steps of a layer."""
+    incidence; they are the same for all `s` steps of a layer. Gathered once
+    per layer, not per step: per-step reads hold 2 MB less at 45x45 in float32
+    but made a whole 2k float32 step about 15 ms slower."""
     return [mesh_e.data[rows] for rows in lg.plan.garment.incident.steps]
 
 

@@ -8,6 +8,12 @@ construction: collision uses a cubic hinge (C2 at the margin), friction uses a
 Huber-smoothed tangential speed, and degenerate bending hinges are dropped from
 the sum before any tape op can divide by zero.
 
+A contact is a world-edge pair: a garment vertex and a body vertex within the
+world radius. `body_contacts`, the one place that rule is written, gives each
+pair's body point, body normal and signed distance along it; `sim` builds one
+such `Contacts` record per state and keeps it there. Collision reads the
+predicted state's record, friction the current state's contacts below the margin.
+
 The terms mean what they claim only for dt > 0, a margin > 0, huber_delta > 0,
 nonnegative stiffnesses and friction, and an up axis in 0..2. `PhysicsConfig`
 declares those ranges on its fields; `config` checks them once, when a run
@@ -60,6 +66,28 @@ TERM_FORMULAS = {
 }
 
 
+@dataclass
+class Contacts:
+    """A state's body contacts, one row per world-edge pair (module docstring)."""
+    pairs: np.ndarray  # (P, 2) rows (garment vertex, body vertex)
+    point: np.ndarray  # (P, 3) body point
+    normal: np.ndarray  # (P, 3) body normal at the point
+    distance: np.ndarray  # (P,) garment vertex's signed distance along the normal
+
+    def below(self, margin: float) -> Contacts:
+        """The contacts closer than `margin`."""
+        near = self.distance < margin
+        return Contacts(*(a[near] for a in (self.pairs, self.point, self.normal,
+                                            self.distance)))
+
+
+def body_contacts(pairs: np.ndarray, x_g, x_b, normals_b) -> Contacts:
+    """Contacts of garment `x_g` with a body at `x_b` over world-edge `pairs`: the
+    body point is the pair's body vertex, its normal the vertex normal; no gradient."""
+    point, normal = x_b[pairs[:, 1]], normals_b[pairs[:, 1]]
+    return Contacts(pairs, point, normal, ((x_g[pairs[:, 0]] - point) * normal).sum(axis=1))
+
+
 def stretch_energy(pos, topo: Topology, rest: RestState, cfg: PhysicsConfig) -> T.Tensor:
     pos = T.as_tensor(pos)
     if len(topo.mesh_edges) == 0:
@@ -109,17 +137,12 @@ def bending_energy(pos, topo: Topology, rest: RestState, cfg: PhysicsConfig,
     return T.mul(T.tsum(T.mul(delta, delta)), cfg.k_bend / 2.0)
 
 
-def collision_penalty(pos_g, pos_b, body_normals: np.ndarray, pairs: np.ndarray,
-                      cfg: PhysicsConfig) -> T.Tensor:
+def collision_penalty(pos_g, contacts: Contacts, cfg: PhysicsConfig) -> T.Tensor:
     """Cubic penalty on proximity below the margin along the body normal."""
-    if len(pairs) == 0:
+    if len(contacts.pairs) == 0:
         return T.Tensor(0.0)
-    pos_g = T.as_tensor(pos_g)
-    pos_b = T.as_tensor(pos_b)
-    xg = T.gather_rows(pos_g, pairs[:, 0])
-    xb = T.gather_rows(pos_b, pairs[:, 1])
-    nb = T.Tensor(body_normals[pairs[:, 1]])
-    dist = T.dot_rows(T.sub(xg, xb), nb)
+    xg = T.gather_rows(T.as_tensor(pos_g), contacts.pairs[:, 0])
+    dist = T.dot_rows(T.sub(xg, T.Tensor(contacts.point)), T.Tensor(contacts.normal))
     pen = T.relu(T.sub(cfg.collision_margin, dist))
     return T.mul(T.tsum(T.pow_scalar(pen, 3)), cfg.k_collision)
 
@@ -140,58 +163,36 @@ def inertia_term(x_next, x_curr: np.ndarray, q_curr: np.ndarray,
     return T.tsum(weighted)
 
 
-def contact_pairs(world_pairs: np.ndarray, x_curr_g: np.ndarray, pos_b: np.ndarray,
-                  body_normals: np.ndarray, cfg: PhysicsConfig) -> np.ndarray:
-    """World-edge pairs whose normal distance is below the margin at x_curr.
-
-    Evaluated on plain arrays so friction's contact set never carries gradient.
-    """
-    if len(world_pairs) == 0:
-        return world_pairs.reshape(-1, 2)
-    xg = np.asarray(x_curr_g)[world_pairs[:, 0]]
-    xb = np.asarray(pos_b)[world_pairs[:, 1]]
-    nb = body_normals[world_pairs[:, 1]]
-    dist = ((xg - xb) * nb).sum(axis=1)
-    return world_pairs[dist < cfg.collision_margin]
-
-
-def friction_term(x_next_g, x_curr_g: np.ndarray, pos_b: np.ndarray,
-                  body_normals: np.ndarray, contacts: np.ndarray,
+def friction_term(x_next_g, x_curr_g: np.ndarray, contacts: Contacts,
                   masses: np.ndarray, cfg: PhysicsConfig) -> T.Tensor:
     """Tangential-displacement friction over an explicit contact set."""
-    if len(contacts) == 0:
+    if len(contacts.pairs) == 0:
         return T.Tensor(0.0)
     x_next_g = T.as_tensor(x_next_g)
-    gi = contacts[:, 0]
+    gi = contacts.pairs[:, 0]
     disp = T.sub(T.gather_rows(x_next_g, gi), T.Tensor(np.asarray(x_curr_g)[gi]))
-    nb = T.Tensor(body_normals[contacts[:, 1]])
+    nb = T.Tensor(contacts.normal)
     tang = T.sub(disp, T.mul(T.dot_rows(disp, nb), nb))
     speed = T.huber_norm(tang, cfg.huber_delta)
     per_contact = T.mul(speed, T.Tensor(masses[gi] / cfg.dt))
     return T.mul(T.tsum(per_contact), cfg.friction_mu)
 
 
-def total_loss(x_next, x_curr: np.ndarray, q_curr: np.ndarray,
-               pos_b_next: np.ndarray, body_normals_next: np.ndarray,
-               collision_pairs_next: np.ndarray, friction_contacts: np.ndarray,
-               topo: Topology, rest: RestState, cfg: PhysicsConfig,
-               body_normals_curr: np.ndarray,
-               pos_b_curr: np.ndarray,
-               diagnostics: dict | None = None) -> tuple[T.Tensor, dict[str, float]]:
+def total_loss(x_next, x_curr: np.ndarray, q_curr: np.ndarray, contacts_next: Contacts,
+               contacts_curr: Contacts, topo: Topology, rest: RestState,
+               cfg: PhysicsConfig, diagnostics: dict | None = None
+               ) -> tuple[T.Tensor, dict[str, float]]:
     """Weighted sum of the six terms plus a per-term breakdown (raw values).
-
-    `friction_contacts` must already be filtered against x_curr (see
-    contact_pairs); collision pairs are the proximity set at x_next.
-    """
+    Friction takes the current contacts below the margin, so no gradient flows
+    through set membership."""
     terms = {
         "stretch": stretch_energy(x_next, topo, rest, cfg),
         "bending": bending_energy(x_next, topo, rest, cfg, diagnostics),
-        "collision": collision_penalty(x_next, pos_b_next, body_normals_next,
-                                       collision_pairs_next, cfg),
+        "collision": collision_penalty(x_next, contacts_next, cfg),
         "gravity": gravity_energy(x_next, rest.vertex_masses, cfg),
         "inertia": inertia_term(x_next, x_curr, q_curr, rest.vertex_masses, cfg.dt),
-        "friction": friction_term(x_next, x_curr, pos_b_curr, body_normals_curr,
-                                  friction_contacts, rest.vertex_masses, cfg),
+        "friction": friction_term(x_next, x_curr, contacts_curr.below(
+            cfg.collision_margin), rest.vertex_masses, cfg),
     }
     total = T.Tensor(0.0)
     for name, value in terms.items():

@@ -30,7 +30,7 @@ from . import physics as phys
 from . import tensor as T
 from .config import ModelConfig, RunConfig, SceneSpec
 from .errors import RolloutError, ValidationError
-from .mesh import (Mesh, RestState, Topology, WorldEdgeSet, build_topology,
+from .mesh import (Mesh, RestState, Topology, build_topology,
                    build_world_edges, compute_rest_quantities, load_obj, obj_text,
                    vertex_normals)
 from .tensor import ModelParams, Tensor
@@ -51,13 +51,13 @@ class SimState:
     x_b: np.ndarray  # (n_B, 3) body positions (kinematic)
     q_b: np.ndarray  # (n_B, 3) body velocities
     normals_b: np.ndarray  # (n_B, 3) body vertex normals at x_b
-    # World edges of (x_g, x_b), built on first use by _world_edges and kept so
-    # no frame rebuilds them. Assigning x_g or x_b drops them; never change
-    # those arrays in place.
-    world: WorldEdgeSet | None = field(default=None, repr=False, compare=False)
+    # The contact record of the world edges of (x_g, x_b), built on first use
+    # by _contacts and kept so no frame rebuilds it. Assigning x_g, x_b or
+    # normals_b drops it; never change those arrays in place.
+    world: phys.Contacts | None = field(default=None, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        if name in ("x_g", "x_b"):
+        if name in ("x_g", "x_b", "normals_b"):
             self.__dict__["world"] = None
         object.__setattr__(self, name, value)
 
@@ -282,9 +282,9 @@ def initial_state(garment: GarmentAssets, motion: BodyMotion, cfg: RunConfig,
     x_b, q_b, normals_b = body_motion_eval(motion, t0 * cfg.physics.dt)
     state = SimState(t=t0, x_g=x_g, q_g=np.zeros_like(x_g), x_b=x_b, q_b=q_b,
                      normals_b=normals_b)
-    pairs = _world_edges(state, garment.world_radius).pairs
-    if len(pairs):
-        dist = _nearest_body_signed_distance(x_g, x_b, pairs, normals_b)
+    contacts = _contacts(state, garment.world_radius)
+    if len(contacts.pairs):
+        dist = _nearest_body_signed_distance(contacts, x_g)
         eps = cfg.physics.collision_margin
         if dist.min() < -eps:  # margin violation beyond 2 * eps
             warnings.warn(
@@ -298,7 +298,7 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     integrate. See module docstring for the exact sequence."""
     cfg = scene.cfg
     n_g = scene.garment.mesh.n_vertices
-    world_combined = _world_edges(state, scene.garment.world_radius).pairs.copy()
+    world_combined = _contacts(state, scene.garment.world_radius).pairs.copy()
     if len(world_combined):
         world_combined[:, 1] += n_g
 
@@ -315,9 +315,7 @@ def step(state: SimState, params: ModelParams, scene: Scene) -> StepOutput:
     v_long = gsa_mod.gsa_forward(T.gather_rows(lg.vertex_feats, garment_rows),
                                  scene.garment.embedding, params,
                                  cfg.model.gsa_blocks)
-    fused_in = T.concat([T.gather_rows(v_short, garment_rows), v_long], axis=-1)
-    assert fused_in.data.shape[1] == 2 * cfg.model.hidden_dim
-    v_prime = T.mlp_apply(params, "fusion", fused_in)
+    v_prime = T.mlp_apply(params, "fusion", [(v_short, garment_rows), (v_long, None)])
     accel = T.mul(T.mlp_apply(params, "decoder", v_prime),
                   params["decoder.accel_scale"])
 
@@ -335,52 +333,45 @@ def step_loss(state: SimState, out: StepOutput, scene: Scene,
               diagnostics: dict | None = None) -> tuple[Tensor, dict[str, float]]:
     """Physics loss of the predicted configuration.
 
-    Collision pairs come from the predicted positions against the advanced
-    body; the friction contact set is fixed at the pre-step state so no
-    gradient flows through set membership. Both states keep their world edges,
-    so the next frame and the penetration metric reuse them.
+    Collision reads the predicted state's contacts, against the advanced body;
+    friction reads the pre-step state's. Both states keep their records, so
+    the next frame and the penetration metric reuse them.
     """
-    cfg = scene.cfg.physics
     garment = scene.garment
     radius = garment.world_radius
-    nxt = out.next_state
-    contacts = phys.contact_pairs(_world_edges(state, radius).pairs, state.x_g,
-                                  state.x_b, state.normals_b, cfg)
     return phys.total_loss(
-        out.x_next, state.x_g, state.q_g, nxt.x_b, nxt.normals_b,
-        _world_edges(nxt, radius).pairs, contacts, garment.topo, garment.rest, cfg,
-        body_normals_curr=state.normals_b, pos_b_curr=state.x_b,
-        diagnostics=diagnostics)
+        out.x_next, state.x_g, state.q_g, _contacts(out.next_state, radius),
+        _contacts(state, radius), garment.topo, garment.rest, scene.cfg.physics,
+        diagnostics)
 
 
-def _world_edges(state: SimState, radius: float) -> WorldEdgeSet:
-    """The state's world edges, built on first use and kept on the state."""
+def _contacts(state: SimState, radius: float) -> phys.Contacts:
+    """The state's contact record, built on first use and kept on the state."""
     if state.world is None:
-        state.world = build_world_edges(state.x_g, state.x_b, radius)
+        pairs = build_world_edges(state.x_g, state.x_b, radius).pairs
+        state.world = phys.body_contacts(pairs, state.x_g, state.x_b, state.normals_b)
     return state.world
 
 
-def _nearest_body_signed_distance(x_g: np.ndarray, x_b: np.ndarray,
-                                  pairs: np.ndarray, normals: np.ndarray
-                                  ) -> np.ndarray:
-    """Signed normal distance of each garment vertex to its nearest body vertex,
-    for garment vertices with any body vertex in range (the world-edge
-    `pairs`, at least one). Using only the nearest pair keeps far-side
-    vertices (normals facing away) from reading as penetration."""
-    d2 = ((x_g[pairs[:, 0]] - x_b[pairs[:, 1]]) ** 2).sum(axis=1)
+def _nearest_body_signed_distance(contacts: phys.Contacts, x_g: np.ndarray) -> np.ndarray:
+    """Signed distance of each garment vertex with a contact (at least one)
+    along the normal of its nearest contact; `x_g` are the positions the
+    record was made from. Using only the nearest pair keeps far-side vertices
+    (normals facing away) from reading as penetration."""
+    pairs = contacts.pairs
+    d2 = ((x_g[pairs[:, 0]] - contacts.point) ** 2).sum(axis=1)
     order = np.lexsort((d2, pairs[:, 0]))  # stable: a tie keeps the lower row
     _, first = np.unique(pairs[order, 0], return_index=True)
-    sel = pairs[np.sort(order[first])]
-    return ((x_g[sel[:, 0]] - x_b[sel[:, 1]]) * normals[sel[:, 1]]).sum(axis=1)
+    return contacts.distance[np.sort(order[first])]
 
 
 def max_penetration_depth(state: SimState, scene: Scene) -> float:
     """Worst margin violation against the nearest body vertex; values above the
     margin mean the surface itself is pierced."""
-    pairs = _world_edges(state, scene.garment.world_radius).pairs
-    if not len(pairs):
+    contacts = _contacts(state, scene.garment.world_radius)
+    if not len(contacts.pairs):
         return 0.0
-    dist = _nearest_body_signed_distance(state.x_g, state.x_b, pairs, state.normals_b)
+    dist = _nearest_body_signed_distance(contacts, state.x_g)
     return float(max(0.0, (scene.cfg.physics.collision_margin - dist).max()))
 
 

@@ -7,9 +7,9 @@ gradient per parent, in parent order, or `None` for a parent that needs none.
 A gradient may have the output's broadcast shape; `backward()` sums it back to
 the parent's shape. `vjp` must not refer to the output tensor, so a tape holds
 no reference cycles and is freed by reference counting. Fused ops (`mlp_apply`,
-one node per MLP) run the separate ops' expressions and keep only what their
-vjp needs; a parent listed twice gets its gradients in the listed order, the
-order the separate ops accumulated them.
+one node per MLP call) run the separate ops' expressions, keeping only what
+their vjp needs; a parent listed twice gets its gradients in the listed order,
+the order the separate ops accumulated them.
 
 `backward()` walks the implicit tape in reverse topological order and is the
 only place gradients are accumulated. Backward consumes the tape: after a
@@ -621,12 +621,12 @@ def _mlp_forward(p: list[Tensor], x: np.ndarray, keep: bool):
 
 def mlp_apply(params: ModelParams, name: str, x, residual=None) -> Tensor:
     """Apply the MLP stored under `name` (linear, relu, linear, relu, linear,
-    LayerNorm iff it was initialized with one) as one tape op, then add
-    `residual` if given. It keeps `x`, both ReLU outputs (`a > 0` equals
-    `relu(a) > 0`), `xhat` and `inv`. `x` is a tensor, or a list of `(tensor,
-    rows)` parts whose columns make the input: all rows (`rows` None) or the
-    rows an Incidence gathers, whose sum is the backward scatter. With a tape
-    that input is one op; without one, see the module docstring."""
+    LayerNorm iff it was initialized with one), plus `residual` if given, as
+    one tape op with parents `(residual, *inputs, *parameters)`. It keeps the
+    input, both ReLU outputs (`a > 0` equals `relu(a) > 0`), `xhat` and `inv`.
+    `x` is a tensor, or a list of `(tensor, rows)` parts whose columns make
+    the input: all rows (`rows` None) or the rows an Incidence gathers, whose
+    sum is the backward scatter. Without a tape, see the module docstring."""
     parts = x if isinstance(x, list) else [(as_tensor(x), None)]
     p = [params[f"{name}.{k}"] for k in ("w0", "b0", "w1", "b1", "w2", "b2", "ln_gain",
                                           "ln_bias") if f"{name}.{k}" in params]
@@ -639,7 +639,8 @@ def mlp_apply(params: ModelParams, name: str, x, residual=None) -> Tensor:
         cols = [t.data[rows] if inc is None else t.data[inc.ids[rows]] for t, inc in parts]
         return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
 
-    (t0, inc0), parents = parts[0], [t for t, _ in parts]
+    t0, inc0 = parts[0]
+    parents = ([] if residual is None else [residual]) + [t for t, _ in parts]
     if not _GRAD_ENABLED:
         n, w = (t0.data.shape[0] if inc0 is None else len(inc0.ids)), p[4].data
         out = np.empty((n, w.shape[1]), np.result_type(*(t.data for t in parents + p)))
@@ -648,13 +649,12 @@ def mlp_apply(params: ModelParams, name: str, x, residual=None) -> Tensor:
             if residual is not None:
                 out[rows] += residual.data[rows]
         return _node(out, parents, "mlp", None)
-    x = t0 if len(parts) == 1 and inc0 is None else _node(
-        build(slice(None)), parents, "mlp_input",
-        lambda g: [gi if inc is None else inc.sum(gi) for gi, (_, inc)
-                   in zip(np.split(g, np.cumsum(widths)[:-1], axis=-1), parts)])
-    y, ins, xhat, inv = _mlp_forward(p, x.data, keep=True)
+    y, ins, xhat, inv = _mlp_forward(p, build(slice(None)), keep=True)
+    if residual is not None:
+        y += residual.data
 
     def vjp(g):
+        head = [] if residual is None else [g]
         grads = []
         if len(p) > 6:
             grads = [g * xhat, g]
@@ -663,7 +663,10 @@ def mlp_apply(params: ModelParams, name: str, x, residual=None) -> Tensor:
             grads[:0] = [ins[i].T @ g, g]
             if i:
                 g = (g @ p[2 * i].data.T) * (ins[i] > 0.0)
-        return [g @ p[0].data.T if x.requires_grad else None] + grads
+        g_x = [None] * len(parts)
+        if any(t.requires_grad for t, _ in parts):
+            g_x = np.split(g @ p[0].data.T, np.cumsum(widths)[:-1], axis=-1)
+        return head + [gi if gi is None or inc is None else inc.sum(gi)
+                       for gi, (_, inc) in zip(g_x, parts)] + grads
 
-    y = _node(y, (x, *p), "mlp", vjp)
-    return y if residual is None else add(y, residual)
+    return _node(y, parents + p, "mlp", vjp)

@@ -1,7 +1,7 @@
 """Helpers that only the tests use: a finite-difference gradient checker, an
 OBJ writer for the garments the tests build, the moving average of the
-training-loss checks and the unfused ops that fused ones are checked
-against."""
+training-loss checks, the unfused ops that fused ones are checked against
+and the pair-list contact filter that the contact record replaced."""
 
 from typing import Callable
 
@@ -85,3 +85,16 @@ def exp(a) -> T.Tensor:
 def unfused_phi(x) -> T.Tensor:
     """`gsa._phi` as the six separate ops it fuses."""
     return T.add(T.relu(x), exp(neg(T.relu(neg(x)))))
+
+
+def contact_pairs(world_pairs: np.ndarray, x_curr_g: np.ndarray, pos_b: np.ndarray,
+                  body_normals: np.ndarray, margin: float) -> np.ndarray:
+    """World-edge pairs whose normal distance is below the margin at x_curr:
+    friction's contact set before contacts were one record per state."""
+    if len(world_pairs) == 0:
+        return world_pairs.reshape(-1, 2)
+    xg = np.asarray(x_curr_g)[world_pairs[:, 0]]
+    xb = np.asarray(pos_b)[world_pairs[:, 1]]
+    nb = body_normals[world_pairs[:, 1]]
+    dist = ((xg - xb) * nb).sum(axis=1)
+    return world_pairs[dist < margin]

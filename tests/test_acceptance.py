@@ -148,9 +148,10 @@ def test_criterion_4_gradient_suite():
     for seed in (0, 1):
         mesh, topo, rest, pos, q, body, normals, rng = randomized_cloth_scene(seed)
         x_next = pos + cfg.dt * q + 1e-3 * rng.standard_normal(pos.shape)
-        pairs = M.build_world_edges(x_next, body, 0.08).pairs
-        contacts = P.contact_pairs(M.build_world_edges(pos, body, 0.08).pairs,
-                                   pos, body, normals, cfg)
+        collisions = P.body_contacts(M.build_world_edges(x_next, body, 0.08).pairs,
+                                     x_next, body, normals)
+        contacts = P.body_contacts(M.build_world_edges(pos, body, 0.08).pairs,
+                                   pos, body, normals).below(cfg.collision_margin)
         # smooth terms at 1e-6
         smooth = {
             "stretch": lambda p: P.stretch_energy(p, topo, rest, cfg),
@@ -163,12 +164,11 @@ def test_criterion_4_gradient_suite():
             assert err <= 1e-6, f"{name} seed {seed}: {err:.2e}"
         # hinged/kinked terms at 1e-4 (non-smooth points excluded by construction)
         err = fd_vs_autodiff(
-            lambda p: P.collision_penalty(p, body, normals, pairs, cfg),
+            lambda p: P.collision_penalty(p, collisions, cfg),
             x_next, h=1e-7)
         assert err <= 1e-4, f"collision seed {seed}: {err:.2e}"
         err = fd_vs_autodiff(
-            lambda p: P.friction_term(p, pos, body, normals, contacts,
-                                      rest.vertex_masses, cfg),
+            lambda p: P.friction_term(p, pos, contacts, rest.vertex_masses, cfg),
             x_next, h=1e-7)
         assert err <= 1e-4, f"friction seed {seed}: {err:.2e}"
 

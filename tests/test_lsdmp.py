@@ -619,9 +619,11 @@ class TestFusedAggregation:
         lg = leaf_graph(seed=47)
         params = layer_params(4, seed=47)
         mesh_e, world_e = L.mp_edge_update(lg, params, "lsdmp.layer0")
-        mlp_input = mesh_e._prev[0]._prev[0]
         v, e = lg.vertex_feats, lg.mesh_edge_feats
-        assert mlp_input._prev == (e, v, v)
+        # one MLP node: the residual, the input parts, then the parameters
+        weights = tuple(params[f"lsdmp.layer0.f_e_mesh.{k}"] for k in (
+            "w0", "b0", "w1", "b1", "w2", "b2", "ln_gain", "ln_bias"))
+        assert mesh_e._prev == (e, e, v, v) + weights
         total = L.incident_sum(lg.plan.edges, e)
         assert total._prev == (e, e)
 

@@ -4,7 +4,7 @@ import pytest
 from eslrsim import mesh as M
 from eslrsim import physics as P
 from eslrsim import tensor as T
-from support import grad_check
+from support import contact_pairs, grad_check
 
 
 def cloth_scene(seed=0, jitter=0.02):
@@ -108,19 +108,24 @@ class TestCollision:
         self.body = np.array([[0.0, 0.0, 0.0]])
         self.pairs = np.array([[0, 0]], dtype=np.intp)
 
+    def contacts(self, g, pairs=None):
+        pairs = self.pairs if pairs is None else pairs
+        return P.body_contacts(pairs, g, self.body, self.normals)
+
     def test_at_margin_is_zero(self):
         g = np.array([[0.0, 0.01, 0.0]])
-        e = P.collision_penalty(g, self.body, self.normals, self.pairs, self.cfg)
+        e = P.collision_penalty(g, self.contacts(g), self.cfg)
         assert float(e.data) == 0.0
 
     def test_on_surface_is_margin_cubed(self):
         g = np.array([[0.0, 0.0, 0.0]])
-        e = P.collision_penalty(g, self.body, self.normals, self.pairs, self.cfg)
+        e = P.collision_penalty(g, self.contacts(g), self.cfg)
         assert np.isclose(float(e.data), 0.01 ** 3)
 
     def test_empty_pairs(self):
-        e = P.collision_penalty(np.zeros((2, 3)), self.body, self.normals,
-                                np.zeros((0, 2), dtype=np.intp), self.cfg)
+        g = np.zeros((2, 3))
+        e = P.collision_penalty(g, self.contacts(g, np.zeros((0, 2), dtype=np.intp)),
+                                self.cfg)
         assert float(e.data) == 0.0
 
     def test_random_contact_matches_oracle_and_fd(self):
@@ -131,14 +136,15 @@ class TestCollision:
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         pairs = np.array([[i % 20, (3 * i) % 15] for i in range(30)], dtype=np.intp)
         cfg = P.PhysicsConfig(k_collision=2.5, collision_margin=0.05)
-        e = P.collision_penalty(g, b, normals, pairs, cfg)
+        contacts = P.body_contacts(pairs, g, b, normals)
+        e = P.collision_penalty(g, contacts, cfg)
         acc = 0.0
         for gi, bi in pairs:
             d = (g[gi] - b[bi]) @ normals[bi]
             acc += cfg.k_collision * max(0.0, cfg.collision_margin - d) ** 3
         assert abs(float(e.data) - acc) <= 1e-12 * max(1.0, acc)
         position_grad_check(
-            lambda p: P.collision_penalty(p, b, normals, pairs, cfg), g)
+            lambda p: P.collision_penalty(p, contacts, cfg), g)
 
 
 class TestGravityInertia:
@@ -187,24 +193,41 @@ class TestFriction:
         self.masses = np.ones(1)
 
     def test_no_contacts_zero(self):
-        e = P.friction_term(np.ones((1, 3)), np.ones((1, 3)), self.body,
-                            self.normals, np.zeros((0, 2), dtype=np.intp),
-                            self.masses, self.cfg)
+        x = np.ones((1, 3))
+        none = P.body_contacts(np.zeros((0, 2), dtype=np.intp), x, self.body,
+                               self.normals)
+        e = P.friction_term(x, x, none, self.masses, self.cfg)
         assert float(e.data) == 0.0
 
     def test_pure_normal_motion_zero(self):
         contacts = np.array([[0, 0]], dtype=np.intp)
         x0 = np.array([[0.0, 0.01, 0.0]])
         x1 = np.array([[0.0, 0.03, 0.0]])  # straight up the normal
-        e = P.friction_term(x1, x0, self.body, self.normals, contacts,
+        e = P.friction_term(x1, x0, P.body_contacts(contacts, x0, self.body, self.normals),
                             self.masses, self.cfg)
         assert float(e.data) <= 1e-18
 
     def test_contact_set_uses_previous_positions(self):
         pairs = np.array([[0, 0], [1, 0]], dtype=np.intp)
         x_curr = np.array([[0.0, 0.01, 0.0], [0.0, 0.5, 0.0]])
-        contacts = P.contact_pairs(pairs, x_curr, self.body, self.normals, self.cfg)
-        assert np.array_equal(contacts, [[0, 0]])
+        contacts = P.body_contacts(pairs, x_curr, self.body, self.normals)
+        assert np.array_equal(contacts.below(self.cfg.collision_margin).pairs, [[0, 0]])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_margin_filter_matches_pair_list_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        x_curr = rng.standard_normal((12, 3)) * 0.05
+        body = rng.standard_normal((9, 3)) * 0.05
+        normals = rng.standard_normal((9, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        pairs = np.unique(np.stack([rng.integers(0, 12, 50), rng.integers(0, 9, 50)],
+                                   axis=1), axis=0)
+        margin = self.cfg.collision_margin
+        near = P.body_contacts(pairs, x_curr, body, normals).below(margin)
+        want = contact_pairs(pairs, x_curr, body, normals, margin)
+        assert 0 < len(want) < len(pairs)
+        assert np.array_equal(near.pairs, want)
+        assert near.normal.tobytes() == normals[want[:, 1]].tobytes()
 
     def test_tangential_slide_matches_oracle_and_fd(self):
         rng = np.random.default_rng(7)
@@ -217,7 +240,8 @@ class TestFriction:
         contacts = np.array([[i, i % n_b] for i in range(n_g)], dtype=np.intp)
         masses = rng.random(n_g) + 0.1
         cfg = P.PhysicsConfig(friction_mu=0.7)
-        e = P.friction_term(x_next, x_curr, body, normals, contacts, masses, cfg)
+        record = P.body_contacts(contacts, x_curr, body, normals)
+        e = P.friction_term(x_next, x_curr, record, masses, cfg)
         acc = 0.0
         for gi, bi in contacts:
             d = x_next[gi] - x_curr[gi]
@@ -229,8 +253,7 @@ class TestFriction:
         assert abs(float(e.data) - acc) <= 1e-9 * max(1.0, acc)
         # displacements are ~1e-2 >> huber_delta, so we are far from the kink
         position_grad_check(
-            lambda p: P.friction_term(p, x_curr, body, normals, contacts,
-                                      masses, cfg),
+            lambda p: P.friction_term(p, x_curr, record, masses, cfg),
             x_next, h=1e-7, rel_tol=1e-4)
 
 
@@ -258,9 +281,10 @@ class TestRigidTranslation:
             return np.array([
                 float(P.stretch_energy(xn, topo, rest, cfg).data),
                 float(P.bending_energy(xn, topo, rest, cfg).data),
-                float(P.collision_penalty(xn, b, normals, pairs, cfg).data),
+                float(P.collision_penalty(
+                    xn, P.body_contacts(pairs, xn, b, normals), cfg).data),
                 float(P.inertia_term(xn, xc, qc, rest.vertex_masses, cfg.dt).data),
-                float(P.friction_term(xn, xc, b, normals, pairs,
+                float(P.friction_term(xn, xc, P.body_contacts(pairs, xc, b, normals),
                                       rest.vertex_masses, cfg).data),
             ])
 
@@ -290,23 +314,22 @@ class TestTotalLoss:
         q = rng.standard_normal(pos.shape) * 0.1
         cfg = P.PhysicsConfig()
         x_next = x_curr + cfg.dt * q + rng.standard_normal(pos.shape) * 1e-3
-        pairs = M.build_world_edges(x_next, body, 0.25).pairs
-        contacts = P.contact_pairs(
-            M.build_world_edges(x_curr, body, 0.25).pairs, x_curr, body,
-            normals, cfg)
-        return (x_next, x_curr, q, body, normals, pairs, contacts, topo, rest, cfg,
-                normals, body)
+        contacts_next = P.body_contacts(M.build_world_edges(x_next, body, 0.25).pairs,
+                                        x_next, body, normals)
+        contacts_curr = P.body_contacts(M.build_world_edges(x_curr, body, 0.25).pairs,
+                                        x_curr, body, normals)
+        return x_next, x_curr, q, contacts_next, contacts_curr, topo, rest, cfg
 
     def test_all_weights_zero(self):
         args = self.make_inputs()
-        cfg = args[9]
+        cfg = args[7]
         cfg.weights = {k: 0.0 for k in cfg.weights}
         total, breakdown = P.total_loss(*args)
         assert float(total.data) == 0.0
 
     def test_single_term_weight(self):
         args = self.make_inputs()
-        cfg = args[9]
+        cfg = args[7]
         cfg.weights = {k: 0.0 for k in cfg.weights}
         cfg.weights["stretch"] = 1.0
         total, breakdown = P.total_loss(*args)
@@ -315,16 +338,14 @@ class TestTotalLoss:
     def test_weighted_sum_matches_individual_terms(self):
         args = self.make_inputs()
         total, breakdown = P.total_loss(*args)
-        cfg = args[9]
+        cfg = args[7]
         expected = sum(cfg.weights[k] * breakdown[k] for k in cfg.weights)
         assert abs(float(total.data) - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_full_loss_position_gradient(self):
-        (x_next, x_curr, q, body, normals, pairs, contacts,
-         topo, rest, cfg, _, _) = self.make_inputs(9)
+        x_next, *rest_args = self.make_inputs(9)
 
         def f(p):
-            return P.total_loss(p, x_curr, q, body, normals, pairs, contacts,
-                                topo, rest, cfg, normals, body)[0]
+            return P.total_loss(p, *rest_args)[0]
 
         position_grad_check(f, x_next, h=1e-7, rel_tol=1e-4)

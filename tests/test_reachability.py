@@ -1,7 +1,9 @@
 """Every top-level function and class of the package is reachable: something
 in `src/` or `bench/` names it, or `pyproject.toml` makes it an entry point.
 A helper whose last caller is deleted fails here, and so does one that only
-tests call: such helpers live in `tests/support.py`."""
+tests call: such helpers live in `tests/support.py`. Every parameter of every
+function in `src/`, nested ones and lambdas included, is read by its body,
+apart from the few an interface or a planned reader needs (`UNREAD`)."""
 
 import ast
 import re
@@ -60,3 +62,38 @@ def test_every_top_level_definition_is_referenced():
     unreferenced = sorted(f"{file}: {name}" for name, file in defined.items()
                           if name not in used)
     assert not unreferenced, unreferenced
+
+
+# (module, function, parameter) -> why the parameter stays unread
+UNREAD = {
+    ("tensor.py", "_node", "op_name"):
+        "the op's label, kept for a per-op counter to read (ROADMAP item 3)",
+    ("tensor.py", "_consumed", "g"): "a vjp is called with the output gradient",
+    ("tensor.py", "__exit__", "exc"): "the context-manager protocol passes it",
+}
+
+
+def unread_parameters(path: Path) -> set[tuple[str, str, str]]:
+    """(module, function, parameter) for each parameter of a function in
+    `path` that its body never loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [arg.arg for arg in (a.vararg, a.kwarg) if arg is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        found |= {(path.name, name, p) for p in params if p not in read}
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = set().union(*(unread_parameters(path) for path in SOURCES))
+    assert sorted(unread - set(UNREAD)) == []
+    # an exemption whose parameter is read again, or gone, goes too
+    assert sorted(set(UNREAD) - unread) == []

@@ -13,6 +13,7 @@ import pytest
 from eslrsim import gsa as G
 from eslrsim import lsdmp as L
 from eslrsim import mesh as M
+from eslrsim import physics as P
 from eslrsim import sim as S
 from eslrsim import tensor as T
 from eslrsim.config import RunConfig, config_from_dict
@@ -148,7 +149,8 @@ def nearest_signed_distance_loop(x_g, x_b, pairs, normals):
 
 class TestNearestBodySignedDistance:
     def check(self, x_g, x_b, pairs, normals):
-        got = S._nearest_body_signed_distance(x_g, x_b, pairs, normals)
+        contacts = P.body_contacts(pairs, x_g, x_b, normals)
+        got = S._nearest_body_signed_distance(contacts, x_g)
         want = nearest_signed_distance_loop(x_g, x_b, pairs, normals)
         assert got.tobytes() == want.tobytes()
         return got
@@ -528,6 +530,20 @@ class TestFrameCaches:
         nxt.world = M.build_world_edges(nxt.x_g, nxt.x_b, scene.garment.world_radius)
         nxt.x_b = nxt.x_b + 1.0
         assert nxt.world is None and nxt.normals_b is normals
+
+    def test_assigning_normals_drops_contacts_and_velocities_keep_them(self):
+        scene, cfg = small_scene()
+        state = S.initial_state(scene.garment, scene.body, cfg)
+        contacts = state.world
+        assert contacts is not None and len(contacts.pairs)
+        state.q_g = state.q_g + 1.0
+        assert state.world is contacts
+        # the signed distances are measured along the normals
+        state.normals_b = -state.normals_b
+        assert state.world is None
+        flipped = S._contacts(state, scene.garment.world_radius)
+        assert np.array_equal(flipped.pairs, contacts.pairs)
+        assert np.array_equal(flipped.distance, -contacts.distance)
 
 
 @pytest.fixture(scope="module")
