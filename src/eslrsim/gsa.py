@@ -4,6 +4,11 @@ geodesic coordinates appended to the query/key inputs.
 The kernel feature map is elu(x) + 1, which is strictly positive, so the
 normalization denominator never vanishes and the O(n) two-summary form is
 algebraically identical to the O(n^2) kernelized attention it replaces.
+
+A block is one tape op that runs the separate ops' expressions and, in its
+vjp, their vjps in reverse. Each array that fed two of them (the block input,
+the query/key input, the normalized features, phi(q), phi(k)) gets exactly two
+gradients, whose sum does not depend on their order: the bytes are the same.
 """
 
 from __future__ import annotations
@@ -31,66 +36,76 @@ def init_gsa_params(params: ModelParams, n_blocks: int, hidden_dim: int,
         params.add(f"{name}.norm.bias", np.zeros(h))
 
 
-def _phi(x: Tensor) -> Tensor:
-    """elu(x) + 1 written as relu(x) + exp(min(x, 0)), as one tape op.
+def _phi(x: np.ndarray):
+    """elu(x) + 1 written as relu(x) + exp(min(x, 0)), and its vjp.
 
     Identical function, but the negative branch is exp rather than expm1 + 1,
     which stays strictly positive down to x ~ -745 in float64 instead of
     rounding to zero near -36; that keeps the attention denominator positive.
     In float32 exp underflows near -87 (subnormal, zero below -103) and
-    expm1 + 1 rounds to zero near -17. The values and gradients are
-    those of `relu(x) + exp(-relu(-x))` as separate ops: the vjp adds the
-    relu branch's gradient first, then the exp branch's.
+    expm1 + 1 rounds to zero near -17. The values and gradients are those of
+    `relu(x) + exp(-relu(-x))` as separate ops: the vjp adds the relu
+    branch's gradient first, then the exp branch's.
     """
-    e = np.exp(-np.maximum(-x.data, 0.0))
-    return T._node(np.maximum(x.data, 0.0) + e, (x,), "phi",
-                   lambda g: (g * (x.data > 0.0) + g * e * (x.data < 0.0),))
+    e = np.exp(-np.maximum(-x, 0.0))
+    return np.maximum(x, 0.0) + e, lambda g: g * (x > 0.0) + g * e * (x < 0.0)
 
 
-def gsa_inject(vertex_feats: Tensor, embed: np.ndarray) -> Tensor:
-    """Append per-vertex geodesic coordinates along the feature axis.
-
-    Used only for the query/key inputs; values stay at the raw feature width.
-    """
-    vertex_feats = T.as_tensor(vertex_feats)
-    n = vertex_feats.data.shape[0]
-    if embed.shape[0] != n:
-        raise ValueError(
-            f"geodesic embedding rows ({embed.shape[0]}) do not match garment "
-            f"vertex count ({n}); re-run preprocess for this mesh")
-    return T.concat([vertex_feats, Tensor(embed.astype(vertex_feats.data.dtype, copy=False))],
-                    axis=-1)
-
-
-def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Kernelized attention in O(n) via two global summaries.
+def linear_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """Kernelized attention in O(n) via two global summaries: `(out, vjp)`,
+    with `vjp(g)` the gradients of q, k and v.
 
     out_i = phi(q_i) S / (phi(q_i) . z) with S = sum_j phi(k_j) v_j^T and
     z = sum_j phi(k_j); phi = elu + 1 > 0.
     """
-    if q.data.shape[0] != k.data.shape[0] or k.data.shape[0] != v.data.shape[0]:
+    if q.shape[0] != k.shape[0] or k.shape[0] != v.shape[0]:
         raise ValueError("linear_attention: rows of q, k, v must agree")
-    phi_q = _phi(q)
-    phi_k = _phi(k)
-    s = T.matmul(T.transpose(phi_k), v)
-    z = T.tsum(phi_k, axis=0, keepdims=True)  # (1, h)
-    num = T.matmul(phi_q, s)
-    den = T.matmul(phi_q, T.transpose(z))  # (n, 1)
-    return T.div(num, den)
+    phi_q, phi_q_vjp = _phi(q)
+    phi_k, phi_k_vjp = _phi(k)
+    phi_k_t = phi_k.T.copy()
+    s = phi_k_t @ v
+    z_t = phi_k.sum(axis=0, keepdims=True).T.copy()  # (h, 1)
+    num = phi_q @ s
+    den = phi_q @ z_t  # (n, 1)
+
+    def vjp(g):
+        g_num = g / den
+        g_den = (-g * num / (den * den)).sum(axis=1, keepdims=True)
+        g_s = phi_q.T @ g_num
+        # C order, as the separate ops summed it: k's gradient meets matmuls
+        g_phi_k = np.add((g_s @ v.T).T, (phi_q.T @ g_den).T, order="C")
+        return (phi_q_vjp(g_den @ z_t.T + g_num @ s.T), phi_k_vjp(g_phi_k),
+                phi_k_t.T @ g_s)
+
+    return num / den, vjp
 
 
 def gsa_block(vertex_feats: Tensor, embed: np.ndarray, params: ModelParams,
               name: str) -> Tensor:
-    """Pre-norm, inject, project, attend, output-project, residual add."""
-    x = T.layer_norm(vertex_feats, params[f"{name}.norm.gain"],
-                     params[f"{name}.norm.bias"])
-    qk_in = gsa_inject(x, embed)
-    q = T.matmul(qk_in, params[f"{name}.wq"])
-    k = T.matmul(qk_in, params[f"{name}.wk"])
-    v = T.matmul(x, params[f"{name}.wv"])
-    att = linear_attention(q, k, v)
-    out = T.matmul(att, params[f"{name}.wo"])
-    return T.add(vertex_feats, out)
+    """Pre-norm, embedding appended to the query/key input, projections,
+    attention, output projection and residual, as one tape op with parents
+    `(vertex_feats, vertex_feats, gain, bias, wq, wk, wv, wo)`."""
+    vertex_feats = T.as_tensor(vertex_feats)
+    p = [params[f"{name}.{key}"] for key in ("norm.gain", "norm.bias", "wq", "wk", "wv", "wo")]
+    gain, bias, wq, wk, wv, wo = (t.data for t in p)
+    n, h = vertex_feats.data.shape
+    if embed.shape[0] != n:
+        raise ValueError(
+            f"geodesic embedding rows ({embed.shape[0]}) do not match garment "
+            f"vertex count ({n}); re-run preprocess for this mesh")
+    xhat, inv = T._normalize(vertex_feats.data.copy(), 1e-5)
+    x = xhat * gain + bias
+    qk_in = np.concatenate([x, embed.astype(x.dtype, copy=False)], axis=-1)
+    att, att_vjp = linear_attention(qk_in @ wq, qk_in @ wk, x @ wv)
+    out = vertex_feats.data + att @ wo
+
+    def vjp(g):
+        g_q, g_k, g_v = att_vjp(g @ wo.T)
+        g_x = (g_q @ wq.T + g_k @ wk.T)[:, :h] + g_v @ wv.T
+        return (g, T._layer_norm_dx(g_x, gain, xhat, inv), g_x * xhat, g_x,
+                qk_in.T @ g_q, qk_in.T @ g_k, x.T @ g_v, att.T @ g)
+
+    return T._node(out, (vertex_feats, vertex_feats, *p), "gsa", vjp)
 
 
 def gsa_forward(garment_feats: Tensor, embed: np.ndarray, params: ModelParams,

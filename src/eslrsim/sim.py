@@ -202,7 +202,9 @@ def body_motion_eval(motion: BodyMotion, time: float
 
 def garment_assets_from_mesh(mesh: Mesh, cfg: RunConfig, embedding: np.ndarray,
                              source: str = "embedding") -> GarmentAssets:
-    """`source` names the embedding in the error for a mismatched shape."""
+    """`source` names the embedding in the error for a mismatched shape or a
+    value that a float32 rollout cannot hold: not finite, or made infinite by
+    the cast."""
     topo = build_topology(mesh)
     rest = compute_rest_quantities(mesh, topo, cfg.mesh.density)
     if embedding.shape != (mesh.n_vertices, cfg.geodesic.embed_dim):
@@ -210,6 +212,10 @@ def garment_assets_from_mesh(mesh: Mesh, cfg: RunConfig, embedding: np.ndarray,
             f"{source} has shape {embedding.shape} for a garment with "
             f"{mesh.n_vertices} vertices and embedding dimension "
             f"geodesic.embed_dim={cfg.geodesic.embed_dim}; re-run preprocess")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(embedding.astype(np.float32)).all():
+            raise ValidationError(f"{source} holds a value that is not finite or is "
+                                  f"beyond the range of float32; re-run preprocess")
     radius = cfg.mesh.world_edge_radius
     if radius == 0:
         radius = cfg.mesh.world_edge_radius_factor * float(rest.edge_rest_lengths.mean())

@@ -7,9 +7,11 @@ gradient per parent, in parent order, or `None` for a parent that needs none.
 A gradient may have the output's broadcast shape; `backward()` sums it back to
 the parent's shape. `vjp` must not refer to the output tensor, so a tape holds
 no reference cycles and is freed by reference counting. Fused ops (`mlp_apply`,
-one node per MLP call) run the separate ops' expressions, keeping only what
-their vjp needs; a parent listed twice gets its gradients in the listed order,
-the order the separate ops accumulated them.
+one node per MLP call; `row_norm`; `gsa.gsa_block`, one node per attention
+block) run the separate ops' expressions, keeping only what their vjp needs;
+a parent listed twice gets its gradients in the listed order, the order the
+separate ops accumulated them. An array inside a fused op that fed two of its
+ops gets its two gradients summed, which no order of addition changes.
 
 `backward()` walks the implicit tape in reverse topological order and is the
 only place gradients are accumulated. Backward consumes the tape: after a
@@ -37,7 +39,7 @@ widths can differ from it in the last bits.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -180,12 +182,6 @@ def pow_scalar(a, p: float) -> Tensor:
     return _node(a.data ** p, (a,), "pow", lambda g: (g * p * a.data ** (p - 1),))
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    root = np.sqrt(a.data)
-    return _node(root, (a,), "sqrt", lambda g: (g * 0.5 / root,))
-
-
 def relu(a) -> Tensor:
     # Subgradient at 0 is defined as 0.
     a = as_tensor(a)
@@ -213,11 +209,6 @@ def huber_norm(a, delta: float) -> Tensor:
 
 # -- structural ops --------------------------------------------------------
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(a.data.T.copy(), (a,), "transpose", lambda g: (g.T,))
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -225,23 +216,6 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b), "matmul",
                  lambda g: (g @ b.data.T if a.requires_grad else None,
                             a.data.T @ g if b.requires_grad else None))
-
-
-def concat(parts: Iterable, axis: int = -1) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    widths = [p.data.shape[axis] for p in parts]
-
-    def vjp(g):
-        offsets = np.cumsum([0] + widths)
-        idx = [slice(None)] * g.ndim
-        grads = []
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            idx[axis] = slice(lo, hi)
-            grads.append(g[tuple(idx)])
-        return grads
-
-    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
-                 "concat", vjp)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -408,19 +382,12 @@ def _layer_norm_dx(g, gain, xhat, inv) -> np.ndarray:
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    xhat, inv = _normalize(x.data.copy(), eps)
-    return _node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm",
-                 lambda g: (_layer_norm_dx(g, gain.data, xhat, inv)
-                            if x.requires_grad else None,
-                            g * xhat if gain.requires_grad else None, g))
-
-
 def row_norm(a) -> Tensor:
-    """Euclidean norm of each row of an (n, d) array, shape (n, 1)."""
-    return sqrt(tsum(mul(a, a), axis=-1, keepdims=True))
+    """Euclidean norm of each row of an (n, d) array, shape (n, 1), as one op
+    with parents `(a, a)`: the bytes of `sqrt(tsum(mul(a, a)))`."""
+    a = as_tensor(a)
+    root = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
+    return _node(root, (a, a), "row_norm", lambda g: (g * 0.5 / root * a.data,) * 2)
 
 
 def dot_rows(a, b) -> Tensor:

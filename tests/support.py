@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a finite-difference gradient checker, an
 OBJ writer for the garments the tests build, the moving average of the
 training-loss checks, the unfused ops that fused ones are checked against
-and the pair-list contact filter that the contact record replaced."""
+(among them the GSA block as separate ops) and the pair-list contact filter
+that the contact record replaced."""
 
 from typing import Callable
 
@@ -82,9 +83,78 @@ def exp(a) -> T.Tensor:
     return T._node(e, (a,), "exp", lambda g: (g * e,))
 
 
+def sqrt(a) -> T.Tensor:
+    a = T.as_tensor(a)
+    root = np.sqrt(a.data)
+    return T._node(root, (a,), "sqrt", lambda g: (g * 0.5 / root,))
+
+
+def unfused_row_norm(a) -> T.Tensor:
+    """`tensor.row_norm` as the three separate ops it fuses."""
+    return sqrt(T.tsum(T.mul(a, a), axis=-1, keepdims=True))
+
+
+def transpose(a) -> T.Tensor:
+    a = T.as_tensor(a)
+    return T._node(a.data.T.copy(), (a,), "transpose", lambda g: (g.T,))
+
+
+def concat(parts, axis: int = -1) -> T.Tensor:
+    parts = [T.as_tensor(p) for p in parts]
+    widths = [p.data.shape[axis] for p in parts]
+
+    def vjp(g):
+        offsets = np.cumsum([0] + widths)
+        idx = [slice(None)] * g.ndim
+        grads = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            idx[axis] = slice(lo, hi)
+            grads.append(g[tuple(idx)])
+        return grads
+
+    return T._node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+                   "concat", vjp)
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> T.Tensor:
+    """LayerNorm over the last axis as one tape op, made from the program's
+    `_normalize` and `_layer_norm_dx`."""
+    x, gain, bias = T.as_tensor(x), T.as_tensor(gain), T.as_tensor(bias)
+    xhat, inv = T._normalize(x.data.copy(), eps)
+    return T._node(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm",
+                   lambda g: (T._layer_norm_dx(g, gain.data, xhat, inv)
+                              if x.requires_grad else None,
+                              g * xhat if gain.requires_grad else None, g))
+
+
 def unfused_phi(x) -> T.Tensor:
     """`gsa._phi` as the six separate ops it fuses."""
     return T.add(T.relu(x), exp(neg(T.relu(neg(x)))))
+
+
+def unfused_linear_attention(q, k, v) -> T.Tensor:
+    """`gsa.linear_attention` as separate tape ops."""
+    phi_q = unfused_phi(q)
+    phi_k = unfused_phi(k)
+    s = T.matmul(transpose(phi_k), v)
+    z = T.tsum(phi_k, axis=0, keepdims=True)  # (1, h)
+    num = T.matmul(phi_q, s)
+    den = T.matmul(phi_q, transpose(z))  # (n, 1)
+    return T.div(num, den)
+
+
+def unfused_gsa_block(vertex_feats, embed: np.ndarray, params: T.ModelParams,
+                      name: str) -> T.Tensor:
+    """`gsa.gsa_block` as separate tape ops: pre-norm, the embedding appended
+    to the query/key input, projections, attention, output projection and
+    residual add."""
+    x = layer_norm(vertex_feats, params[f"{name}.norm.gain"], params[f"{name}.norm.bias"])
+    qk_in = concat([x, T.Tensor(embed.astype(x.data.dtype, copy=False))])
+    q = T.matmul(qk_in, params[f"{name}.wq"])
+    k = T.matmul(qk_in, params[f"{name}.wk"])
+    v = T.matmul(x, params[f"{name}.wv"])
+    att = unfused_linear_attention(q, k, v)
+    return T.add(vertex_feats, T.matmul(att, params[f"{name}.wo"]))
 
 
 def contact_pairs(world_pairs: np.ndarray, x_curr_g: np.ndarray, pos_b: np.ndarray,

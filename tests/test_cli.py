@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eslrsim import cli, sim
+from eslrsim import cli, container, sim
 from eslrsim import tensor as T
 from eslrsim import geodesic as geo
 from eslrsim import mesh as M
@@ -457,6 +457,34 @@ def test_value_beyond_float32_exits_2(tmp_path, garment_obj, beyond_float32, com
     err = capsys.readouterr().err
     assert err == (f"error: {beyond_float32}: parameter 'fusion.b1' holds a value "
                    f"beyond the range of float32\n")
+    assert not (tmp_path / "frames").exists() and not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("value", [1e39, np.nan], ids=["beyond-float32", "nan"])
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+def test_embedding_value_float32_cannot_hold_exits_2(tmp_path, garment_obj, trained,
+                                                     command, value, capsys):
+    """An embedding entry that a float32 rollout would read as inf or NaN exits
+    2 at load, naming the `.geo1` file, instead of failing mid-rollout."""
+    path = garment_obj.with_suffix(".geo1")
+    header, coords = geo.load_embedding(path)
+    coords = coords.copy()
+    coords[3, 0] = value
+    container.write(path, geo.GEO_MAGIC, header, [coords])
+    scenes = tmp_path / "scenes.json"
+    scenes.write_text(json.dumps([{"garment": str(garment_obj), "body": "static_sphere"}]))
+    args = {"simulate": ["--garment", str(garment_obj), "--body", "static_sphere",
+                         "--frames", "1", "--out", str(tmp_path / "frames")],
+            "eval": ["--scenes", str(scenes), "--report", str(tmp_path / "r.txt"),
+                     "--frames", "1"]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--ckpt", str(trained)] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {path} holds a value that is not finite or is beyond the "
+                   f"range of float32; re-run preprocess\n")
     assert not (tmp_path / "frames").exists() and not (tmp_path / "r.txt").exists()
 
 

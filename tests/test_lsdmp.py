@@ -3,7 +3,7 @@ import pytest
 
 from eslrsim import lsdmp as L
 from eslrsim import tensor as T
-from support import grad_check
+from support import concat, grad_check
 
 
 def latent_graph(vertex_feats, mesh_edge_feats, world_edge_feats, mesh_edges,
@@ -516,8 +516,8 @@ def unfused_edge_update(lg, params, name):
     v = lg.vertex_feats
 
     def update(inc, feats, mlp_name):
-        inp = T.concat([feats, T.gather_rows(v, inc.first), T.gather_rows(v, inc.second)],
-                       axis=-1)
+        inp = concat([feats, T.gather_rows(v, inc.first), T.gather_rows(v, inc.second)],
+                     axis=-1)
         return T.add(T.mlp_apply(params, mlp_name, inp), feats)
 
     return (update(lg.plan.edges, lg.mesh_edge_feats, f"{name}.f_e_mesh"),
@@ -529,10 +529,10 @@ def unfused_vertex_update(lg, mesh_e, world_e, params, name):
     n = lg.plan.n_total
 
     def incident_sum(inc, feats):
-        return T.segment_sum(T.concat([feats, feats], axis=0), inc.incident.ids, n)
+        return T.segment_sum(concat([feats, feats], axis=0), inc.incident.ids, n)
 
-    inp = T.concat([lg.vertex_feats, incident_sum(lg.plan.edges, mesh_e),
-                    incident_sum(lg.world_plan, world_e)], axis=-1)
+    inp = concat([lg.vertex_feats, incident_sum(lg.plan.edges, mesh_e),
+                  incident_sum(lg.world_plan, world_e)], axis=-1)
     return T.add(T.mlp_apply(params, f"{name}.f_v", inp), lg.vertex_feats)
 
 
@@ -582,7 +582,7 @@ class TestFusedAggregation:
             e = T.Tensor(lg.mesh_edge_feats.data.copy(), requires_grad=True)
             inc = lg.plan.edges
             out = L.incident_sum(inc, e) if fused else T.segment_sum(
-                T.concat([e, e], axis=0), inc.incident.ids, 10)
+                concat([e, e], axis=0), inc.incident.ids, 10)
             T.backward(T.tsum(T.mul(out, T.Tensor(g))))
             results.append((out.data, e.grad))
         for fused, ref in zip(*results):

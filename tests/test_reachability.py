@@ -1,9 +1,11 @@
 """Every top-level function and class of the package is reachable: something
 in `src/` or `bench/` names it, or `pyproject.toml` makes it an entry point.
 A helper whose last caller is deleted fails here, and so does one that only
-tests call: such helpers live in `tests/support.py`. Every parameter of every
-function in `src/`, nested ones and lambdas included, is read by its body,
-apart from the few an interface or a planned reader needs (`UNREAD`)."""
+tests call: such helpers live in `tests/support.py`. The few that only
+`bench/` names are listed, each with its reason (`BENCH_ONLY`). Every
+parameter of every function in `src/`, nested ones and lambdas included, is
+read by its body, apart from the few an interface or a planned reader needs
+(`UNREAD`)."""
 
 import ast
 import re
@@ -46,9 +48,21 @@ def referenced_names(node: ast.AST, bound: frozenset = frozenset()) -> set[str]:
     return names
 
 
-def test_every_top_level_definition_is_referenced():
-    defined = {}  # name -> module file
-    used = set(re.findall(r'"eslrsim\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+# top-level `src/` name -> why only `bench/` names it
+BENCH_ONLY = {
+    "segment_sum": "bench/tracer.py times it (TIMED_OPS); ROADMAP item 2 deletes it",
+    "segment_mean": "bench/tracer.py times it (TIMED_OPS); ROADMAP item 2 deletes it",
+    "matmul": "bench/tracer.py times it (TIMED_OPS) for tensor.matmul_ms; "
+              "ROADMAP item 2 deletes it",
+}
+
+
+def definitions_and_references():
+    """(top-level name -> module file, names referenced in `src/` and
+    `pyproject.toml`, names referenced in `bench/`)."""
+    defined = {}
+    used = {"src": set(re.findall(r'"eslrsim\.\w+:(\w+)"',
+                                  (ROOT / "pyproject.toml").read_text())), "bench": set()}
     for path in SOURCES + BENCH:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for stmt in tree.body:
@@ -58,10 +72,23 @@ def test_every_top_level_definition_is_referenced():
                 own = stmt.name
                 defined[own] = path.name
             # a definition's own body (recursion) does not make it reachable
-            used |= referenced_names(stmt) - {own}
+            used["src" if path in SOURCES else "bench"] |= referenced_names(stmt) - {own}
+    return defined, used["src"], used["bench"]
+
+
+def test_every_top_level_definition_is_referenced():
+    defined, in_src, in_bench = definitions_and_references()
     unreferenced = sorted(f"{file}: {name}" for name, file in defined.items()
-                          if name not in used)
+                          if name not in in_src | in_bench)
     assert not unreferenced, unreferenced
+
+
+def test_bench_only_definitions_are_the_listed_ones():
+    # an unlisted one fails, and so does a listed one that `src/` uses again
+    # or `bench/` no longer names
+    defined, in_src, in_bench = definitions_and_references()
+    bench_only = {name for name in defined if name in in_bench - in_src}
+    assert sorted(bench_only) == sorted(BENCH_ONLY)
 
 
 # (module, function, parameter) -> why the parameter stays unread

@@ -18,7 +18,7 @@ from eslrsim import sim as S
 from eslrsim import tensor as T
 from eslrsim.config import RunConfig, config_from_dict
 from eslrsim.errors import ValidationError
-from support import grad_check, save_obj
+from support import concat, grad_check, save_obj
 
 
 def unzero_output_layers(params, seed=1234):
@@ -231,7 +231,7 @@ class TestStep:
                               cfg.model.smoothing_steps).vertex_feats
         v_l = G.gsa_forward(T.gather_rows(lg.vertex_feats, np.arange(n_g)),
                             scene.garment.embedding, params, cfg.model.gsa_blocks)
-        fused = T.concat([T.gather_rows(v_s, np.arange(n_g)), v_l], axis=-1)
+        fused = concat([T.gather_rows(v_s, np.arange(n_g)), v_l], axis=-1)
         accel = T.mul(T.mlp_apply(params, "decoder",
                                   T.mlp_apply(params, "fusion", fused)),
                       params["decoder.accel_scale"])

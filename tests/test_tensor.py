@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eslrsim import tensor as T
 from eslrsim.errors import ValidationError
-from support import exp, grad_check
+from support import exp, grad_check, layer_norm, sqrt, unfused_row_norm
 
 
 def fd_grad(f, x, h=1e-5):
@@ -86,6 +86,8 @@ class TestPrimitives:
             T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
 
     def test_layer_norm_grad(self):
+        # the program's `_normalize` and `_layer_norm_dx`, which the MLP and
+        # the GSA block share, as one LayerNorm op
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 8))
         gain = rng.standard_normal(8)
@@ -94,7 +96,7 @@ class TestPrimitives:
         xt = T.Tensor(x.copy(), requires_grad=True)
         gt = T.Tensor(gain.copy(), requires_grad=True)
         bt = T.Tensor(bias.copy(), requires_grad=True)
-        T.backward(T.tsum(T.mul(T.layer_norm(xt, gt, bt), T.Tensor(w))))
+        T.backward(T.tsum(T.mul(layer_norm(xt, gt, bt), T.Tensor(w))))
 
         def ln(xa, ga, ba):
             mu = xa.mean(-1, keepdims=True)
@@ -111,8 +113,31 @@ class TestPrimitives:
     def test_smooth_unary_ops_fd(self):
         rng = np.random.default_rng(2)
         check_op(exp, np.exp, (4, 3), rng)  # the oracle of the fused `gsa._phi`
-        check_op(T.sqrt, np.sqrt, (4, 3), rng, shift=3.0)
+        check_op(sqrt, np.sqrt, (4, 3), rng, shift=3.0)  # the oracle of `row_norm`
+        check_op(T.row_norm, lambda x: np.sqrt((x * x).sum(axis=-1, keepdims=True)),
+                 (4, 3), rng)
         check_op(lambda x: T.pow_scalar(x, 3), lambda x: x ** 3, (4, 3), rng)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_norm_equals_unfused_ops_bitwise(self, dtype):
+        """Value and gradient; the input takes a third gradient from another
+        op, so the order of `row_norm`'s two contributions against it shows."""
+        rng = np.random.default_rng(5)
+        a0 = rng.standard_normal((40, 3)).astype(dtype)
+        a0[3] = 0.0  # a zero row: the separate ops' 0/0 gradient, nan
+        w, u = (T.Tensor(rng.standard_normal(s).astype(dtype)) for s in ((40, 1), (40, 3)))
+        results = []
+        for norm in (T.row_norm, unfused_row_norm):
+            base = T.Tensor(a0.copy(), requires_grad=True)
+            a = T.mul(base, np.asarray(1.5, dtype))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                T.backward(T.add(T.tsum(T.mul(a, u)), T.tsum(T.mul(norm(a), w))))
+            results.append((norm(a).data.tobytes(), base.grad.dtype, base.grad.tobytes()))
+        assert results[0] == results[1] and results[0][1] == dtype
+
+    def test_row_norm_is_one_node_with_its_input_twice(self):
+        a = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        assert T.row_norm(a)._prev == (a, a)
 
     def test_relu_grad_away_from_zero(self):
         rng = np.random.default_rng(3)
@@ -312,7 +337,7 @@ class TestDtype:
     def test_ops_follow_the_data(self):
         a = T.Tensor(np.ones((2, 2), np.float32))
         assert T.matmul(a, a).data.dtype == np.float32
-        assert T.layer_norm(a, a, a).data.dtype == np.float32
+        assert T.row_norm(a).data.dtype == np.float32
         # a Python float becomes a float64 Tensor, so it promotes like an array
         assert T.mul(a, 2.0).data.dtype == np.float64
         assert T.add(a, np.ones((2, 2))).data.dtype == np.float64
